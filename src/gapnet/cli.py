@@ -40,7 +40,7 @@ from .models import (
     train_gapnet,
     train_vanilla,
 )
-from .numerics import NumericsError
+from .numerics import NumericsError, pin_blas_threads
 from .synth import GapPattern, MadelonConfig, SynthError, generate_madelon, inject_gaps, paper_gap_pattern
 
 VALIDATION_ERRORS = (
@@ -453,6 +453,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # before any pool forks, so serial runs and workers compute alike
+    pin_blas_threads()
     try:
         return args.func(args)
     except VALIDATION_ERRORS as exc:

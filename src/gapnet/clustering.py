@@ -122,7 +122,6 @@ def validate_plan(plan, ds, test_rows=None):
     for j, names in sorted(owners.items()):
         if len(names) > 1:
             overlaps.append((j, names))
-    covered = set(owners) | set(plan.uncovered_features)
     uncovered = sorted(set(range(ds.n_features)) - set(owners))
     counts, train_counts, empty = {}, {}, []
     excluded = set() if test_rows is None else set(int(r) for r in test_rows)
@@ -132,7 +131,6 @@ def validate_plan(plan, ds, test_rows=None):
         train_counts[cluster.name] = int(sum(1 for r in rows if r not in excluded))
         if rows.size == 0:
             empty.append(cluster.name)
-    del covered  # coverage is reported via `uncovered`
     return PlanReport(
         valid=not overlaps and not empty,
         overlaps=overlaps,

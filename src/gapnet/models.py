@@ -18,11 +18,16 @@ from .numerics import (
     AdamState,
     DenseLayer,
     DropoutSpec,
+    FlatBuffer,
     MlpNetwork,
+    NonFiniteError,
     NumericsError,
+    Workspace,
     adam_step,
     dense_layer,
+    dropout_mask,
     glorot_init,
+    pin_blas_threads,
     sigmoid,
 )
 
@@ -69,39 +74,55 @@ def build_subnet(cluster, hidden_multiplier=2, dropout_rate=0.5, rng=None):
     )
 
 
-def _trainable_params(net):
-    out = []
-    for layer in net.layers:
-        if layer.trainable:
-            out.extend((layer.weights, layer.biases))
-    return out
+def _pack(named_layers):
+    """Move the layers' weights and biases into one FlatBuffer. Each layer
+    keeps C-ordered views of it, so training updates the layers in place."""
+    arrays, names = [], []
+    for name, layer in named_layers:
+        arrays += [layer.weights, layer.biases]
+        names += [f"{name} weights", f"{name} biases"]
+    flat = FlatBuffer.holding(arrays, names)
+    for k, (_, layer) in enumerate(named_layers):
+        layer.weights, layer.biases = flat.views[2 * k], flat.views[2 * k + 1]
+    return flat
+
+
+def _epochs(n, cfg, rng, step):
+    """The epoch and minibatch loop of every fit. `step(rows)` takes one Adam
+    step on a batch; rows None means all n rows in order."""
+    pin_blas_threads()
+    full = cfg.batch_size is None or cfg.batch_size >= n
+    try:
+        for _ in range(cfg.epochs):
+            if full:
+                step(None)
+                continue
+            order = rng.permutation(n)
+            for i in range(0, n, cfg.batch_size):
+                step(order[i : i + cfg.batch_size])
+    except NonFiniteError as exc:
+        raise TrainingError(f"training diverged: {exc}") from exc
 
 
 def fit_network(net, X, y, cfg, rng):
     """Train in place with Adam on mean BCE; full batch unless batch_size set."""
-    X = np.asarray(X, dtype=np.float64)
+    # one C-ordered copy at most: a GEMM's bits depend on its operands' layout
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise TrainingError("empty training set")
-    params = _trainable_params(net)
-    state = AdamState(learning_rate=cfg.learning_rate)
     n = X.shape[0]
-    for _ in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= n:
-            slices = [np.arange(n)]
-        else:
-            order = rng.permutation(n)
-            slices = [
-                order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)
-            ]
-        for idx in slices:
-            cache = net.forward(X[idx], mode="train", rng=rng)
-            grads = net.backprop(cache, y[idx])
-            flat = []
-            for layer, (gw, gb) in zip(net.layers, grads):
-                if layer.trainable:
-                    flat.extend((gw, gb))
-            adam_step(params, flat, state)
+    if n == 0:
+        raise TrainingError("empty training set")
+    params = _pack([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable])
+    workspace = Workspace(net, min(n, cfg.batch_size or n))
+    state = AdamState(learning_rate=cfg.learning_rate)
+
+    def step(rows):
+        Xb, yb = (X, y) if rows is None else (X[rows], y[rows])
+        cache = net.forward(Xb, mode="train", rng=rng, workspace=workspace)
+        net.backprop(cache, yb, workspace=workspace)
+        adam_step(params, workspace.grads, state)
+
+    _epochs(n, cfg, rng, step)
     return net
 
 
@@ -182,34 +203,95 @@ def gapnet_gradients(model, caches, concat, scores, labels):
     return grads
 
 
+class _FrozenBodies:
+    """Full-batch stage-II forward pass over frozen bodies whose only dropout
+    follows their last layer.
+
+    Such a body's output before that dropout never changes, so it is computed
+    once, from the same column slices of X that `GapNetModel.forward` takes.
+    Each call then draws only the dropout masks, in the order a full pass
+    draws them, and applies the fusion node. Minibatches get no cache: the
+    cached rows of a batch can differ by an ulp from a GEMM over those rows.
+    """
+
+    def __init__(self, model, X, rng):
+        self.fusion = model.fusion
+        self.rng = rng
+        self.hidden = [
+            body.forward(X[:, c.features]).outputs
+            for body, c in zip(model.bodies, model.clusters)
+        ]
+        self.rates = []
+        for body in model.bodies:
+            spec = body._dropout_for(len(body.layers) - 1)
+            self.rates.append(spec.rate if spec is not None else 0.0)
+        self.masks = [
+            np.empty_like(h) if rate > 0 else None
+            for h, rate in zip(self.hidden, self.rates)
+        ]
+        self.concat = np.empty((X.shape[0], sum(h.shape[1] for h in self.hidden)))
+        self.z = np.empty((X.shape[0], self.fusion.fan_out))
+        self.scores = np.empty_like(self.z)
+
+    @staticmethod
+    def applies(model):
+        return model.freeze_bodies and all(
+            s.rate == 0 or s.placement == len(body.layers) - 1
+            for body in model.bodies
+            for s in body.dropout
+        )
+
+    def forward(self):
+        offset = 0
+        for h, rate, mask in zip(self.hidden, self.rates, self.masks):
+            block = self.concat[:, offset : offset + h.shape[1]]
+            if mask is None:
+                block[...] = h
+            else:
+                np.multiply(h, dropout_mask(self.rng, rate, None, out=mask), out=block)
+            offset += h.shape[1]
+        z = np.matmul(self.concat, self.fusion.weights, out=self.z)
+        z += self.fusion.biases
+        return None, self.concat, sigmoid(z, out=self.scores)
+
+
 def fit_gapnet(model, X, y, cfg, rng):
     """Stage-II training: Adam on the fusion node (and bodies when unfrozen).
 
     Body dropout stays active in train mode; the fusion node sees the
     post-dropout body outputs.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise TrainingError("empty stage-II training set")
-    params = [model.fusion.weights, model.fusion.biases]
-    if not model.freeze_bodies:
-        for body in model.bodies:
-            params.extend(_trainable_params(body))
-    state = AdamState(learning_rate=cfg.learning_rate)
     n = X.shape[0]
-    for _ in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= n:
-            slices = [np.arange(n)]
+    if n == 0:
+        raise TrainingError("empty stage-II training set")
+    named = [("fusion", model.fusion)]
+    if not model.freeze_bodies:
+        named += [
+            (f"body {k} layer {i}", layer)
+            for k, body in enumerate(model.bodies)
+            for i, layer in enumerate(body.layers)
+            if layer.trainable
+        ]
+    params = _pack(named)
+    grads = FlatBuffer([v.shape for v in params.views], params.names)
+    state = AdamState(learning_rate=cfg.learning_rate)
+    full_batch = cfg.batch_size is None or cfg.batch_size >= n
+    frozen = _FrozenBodies(model, X, rng) if full_batch and _FrozenBodies.applies(model) else None
+
+    def step(rows):
+        if frozen is not None:
+            caches, concat, scores = frozen.forward()
         else:
-            order = rng.permutation(n)
-            slices = [
-                order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)
-            ]
-        for idx in slices:
-            caches, concat, scores = model.forward(X[idx], mode="train", rng=rng)
-            grads = gapnet_gradients(model, caches, concat, scores, y[idx])
-            adam_step(params, grads, state)
+            Xb = X if rows is None else X[rows]
+            caches, concat, scores = model.forward(Xb, mode="train", rng=rng)
+        yb = y if rows is None else y[rows]
+        parts = gapnet_gradients(model, caches, concat, scores, yb)
+        np.concatenate([g.ravel() for g in parts], out=grads.data)
+        adam_step(params, grads, state)
+
+    _epochs(n, cfg, rng, step)
     return model
 
 

@@ -3,51 +3,154 @@
 Everything operates on float64 numpy arrays. Batches are row-major
 (samples x features). Networks are plain stacks of dense layers with an
 optional inverted-dropout mask after selected layers.
+
+Training passes a `Workspace` so that a step writes into preallocated arrays
+and keeps its parameters and gradients in `FlatBuffer`s; every other caller
+gets fresh arrays. Both paths run the same operations on operands of the
+same layout, so they give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SCORE_EPS = 1e-12
 
+# OpenBLAS thread-count setters, by the symbol names numpy's wheels have used
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
 
 class NumericsError(ValueError):
     """Raised on shape mismatches or non-finite values in network math."""
 
 
-def relu(z):
-    return np.maximum(z, 0.0)
+class NonFiniteError(NumericsError):
+    """Raised by Adam when a gradient holds inf or NaN."""
 
 
-def sigmoid(z):
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS bundled with numpy, or None."""
+    base = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(base, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(base, ".libs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
+def pin_blas_threads():
+    """Run the OpenBLAS bundled with numpy on one thread.
+
+    A GEMM's bits depend on how many threads split it, so output is only
+    reproducible at a fixed count. Forked workers inherit the setting. Does
+    nothing when no bundled OpenBLAS or setter symbol is found.
+    """
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
+def relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
+
+
+def sigmoid(z, out=None):
+    # exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below
+    z = np.asarray(z, dtype=np.float64)
+    e = np.negative(np.abs(z))
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=out)
+
+
+def _identity(z, out=None):
+    if out is None:
+        return z
+    np.copyto(out, z)
     return out
 
 
 _ACTIVATIONS = {
     "relu": relu,
     "sigmoid": sigmoid,
-    "identity": lambda z: z,
+    "identity": _identity,
 }
 
 
-def _activation_grad(name, z, h):
-    """d(activation)/dz given pre-activation z and post-activation h."""
+def _activation_backward(name, h, grad_h):
+    """Turn dL/dh into dL/dz in place, given the post-activation h.
+
+    ReLU reads h > 0, which holds exactly where z > 0 does.
+    """
     if name == "relu":
-        return (z > 0).astype(np.float64)
-    if name == "sigmoid":
-        return h * (1.0 - h)
-    if name == "identity":
-        return np.ones_like(z)
-    raise NumericsError(f"unknown activation {name!r}")
+        np.multiply(grad_h, h > 0, out=grad_h)
+    elif name == "sigmoid":
+        slope = np.subtract(1.0, h)
+        slope *= h
+        grad_h *= slope
+    elif name != "identity":
+        raise NumericsError(f"unknown activation {name!r}")
+    return grad_h
+
+
+def dropout_mask(rng, rate, shape, out=None):
+    """Inverted-dropout mask: 1/keep with probability keep = 1 - rate, else 0."""
+    keep = 1.0 - rate
+    draw = rng.random(shape) if out is None else rng.random(out=out)
+    # 1.0 * (1/keep) and 0.0 * (1/keep) are exactly 1.0/keep and 0.0/keep
+    return np.multiply(draw < keep, 1.0 / keep, out=draw)
+
+
+class FlatBuffer:
+    """Named arrays stored back to back in one float64 vector, `data`.
+
+    `views[i]` is array i as a C-ordered view of its slice of `data`, so a
+    write through either is seen by both.
+    """
+
+    def __init__(self, shapes, names):
+        sizes = [int(np.prod(s)) for s in shapes]
+        self.ends = np.cumsum(sizes, dtype=np.int64)
+        self.data = np.zeros(int(self.ends[-1]) if sizes else 0)
+        self.views = [
+            self.data[end - size : end].reshape(shape)
+            for end, size, shape in zip(self.ends, sizes, shapes)
+        ]
+        self.names = list(names)
+
+    @classmethod
+    def holding(cls, arrays, names):
+        """A buffer initialised with copies of `arrays`."""
+        buf = cls([a.shape for a in arrays], names)
+        for view, a in zip(buf.views, arrays):
+            view[...] = a
+        return buf
+
+    def name_at(self, index):
+        """Name of the array that holds element `index` of `data`."""
+        return self.names[int(np.searchsorted(self.ends, index, side="right"))]
 
 
 @dataclass
@@ -90,6 +193,78 @@ def dense_layer(fan_in, fan_out, activation, rng):
         biases=np.zeros(fan_out),
         activation=activation,
     )
+
+
+@dataclass
+class _Buffers:
+    """Output arrays for one forward/backprop, per layer; None = allocate."""
+
+    h: list  # pre-activation, overwritten in place by the activation
+    mask: list
+    a: list  # post-dropout output
+    grad: list  # dL/dh, turned into dL/dz in place
+    grads: list  # (weights, biases) gradient views, or None
+
+    @classmethod
+    def fresh(cls, depth):
+        none = [None] * depth
+        return cls(none, none, none, none, none)
+
+    def first_rows(self, rows):
+        def cut(arrays):
+            return [None if x is None else x[:rows] for x in arrays]
+
+        return _Buffers(cut(self.h), cut(self.mask), cut(self.a), cut(self.grad),
+                        self.grads)
+
+
+class Workspace:
+    """Preallocated arrays for training steps of one network on batches of
+    up to `rows` rows.
+
+    `grads` holds the trainable layers' gradients in one FlatBuffer (weights
+    then biases, layer by layer), laid out like the parameters a trainer
+    packs. Arrays a step returns stay valid only until the next step. Each
+    activation is computed in place over its pre-activation, so the cache's
+    pre-activations hold post-activations, the only ones backprop reads;
+    fewer arrays keep a step's working set in the CPU cache.
+    """
+
+    def __init__(self, net, rows):
+        layers = net.layers
+        dropped = {s.placement for s in net.dropout if s.rate > 0}
+
+        def per_layer(keep=lambda i: True):
+            return [
+                np.empty((rows, l.fan_out)) if keep(i) else None
+                for i, l in enumerate(layers)
+            ]
+
+        trainable = [i for i, l in enumerate(layers) if l.trainable]
+        shapes, names = [], []
+        for i in trainable:
+            shapes += [layers[i].weights.shape, layers[i].biases.shape]
+            names += [f"layer {i} weights", f"layer {i} biases"]
+        self.grads = FlatBuffer(shapes, names)
+        pairs = [None] * len(layers)
+        for k, i in enumerate(trainable):
+            pairs[i] = (self.grads.views[2 * k], self.grads.views[2 * k + 1])
+        self.rows = rows
+        self._full = _Buffers(
+            h=per_layer(),
+            mask=per_layer(lambda i: i in dropped),
+            a=per_layer(lambda i: i in dropped),
+            grad=per_layer(),
+            grads=pairs,
+        )
+
+    def sized(self, rows):
+        """Buffers for a batch of `rows` rows (views of the first rows)."""
+        if rows == self.rows:
+            return self._full
+        if rows > self.rows:
+            raise NumericsError(f"batch of {rows} rows exceeds the workspace's {self.rows}")
+        return self._full.first_rows(rows)
 
 
 @dataclass
@@ -136,8 +311,16 @@ class MlpNetwork:
                 return spec
         return None
 
-    def forward(self, batch, mode="infer", rng=None):
-        """Run the network; in train mode draws and records dropout masks."""
+    def _buffers(self, workspace, rows):
+        if workspace is None:
+            return _Buffers.fresh(len(self.layers))
+        return workspace.sized(rows)
+
+    def forward(self, batch, mode="infer", rng=None, workspace=None):
+        """Run the network; in train mode draws and records dropout masks.
+
+        With a workspace the returned tensors live in its arrays.
+        """
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.input_width:
             raise NumericsError(
@@ -146,29 +329,30 @@ class MlpNetwork:
             )
         if mode == "train" and any(s.rate > 0 for s in self.dropout) and rng is None:
             raise NumericsError("train mode with dropout requires an rng")
+        buf = self._buffers(workspace, batch.shape[0])
         inputs, pre, post, masks = [], [], [], {}
         a = batch
         for i, layer in enumerate(self.layers):
             inputs.append(a)
-            z = a @ layer.weights + layer.biases
-            h = _ACTIVATIONS[layer.activation](z)
+            z = np.matmul(a, layer.weights, out=buf.h[i])
+            z += layer.biases
+            h = _ACTIVATIONS[layer.activation](z, out=buf.h[i])
             pre.append(z)
             post.append(h)
             spec = self._dropout_for(i)
             if spec is not None and spec.rate > 0 and mode == "train":
-                keep = 1.0 - spec.rate
-                mask = (rng.random(h.shape) < keep) / keep
-                masks[i] = mask
-                a = h * mask
+                masks[i] = dropout_mask(rng, spec.rate, h.shape, out=buf.mask[i])
+                a = np.multiply(h, masks[i], out=buf.a[i])
             else:
                 a = h
         return ForwardCache(inputs, pre, post, masks, a)
 
-    def backprop(self, cache, labels):
+    def backprop(self, cache, labels, workspace=None):
         """Gradients of mean BCE loss w.r.t. all parameters.
 
         Requires a sigmoid output head; uses the fused sigmoid+BCE delta.
-        Non-trainable layers get zero gradient slots.
+        Non-trainable layers get zero gradient slots. With a workspace the
+        trainable layers' gradients are written into `workspace.grads`.
         """
         labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
         scores = cache.outputs
@@ -177,52 +361,55 @@ class MlpNetwork:
         if self.layers[-1].activation != "sigmoid":
             raise NumericsError("backprop against labels requires a sigmoid head")
         n = scores.shape[0]
-        delta = (scores - labels) / n  # dL/dz of the output layer
+        buf = self._buffers(workspace, n)
         last = len(self.layers) - 1
+        delta = np.subtract(scores, labels, out=buf.grad[last])
+        delta /= n  # dL/dz of the output layer
         if last in cache.dropout_masks:
             # mask sits after the sigmoid; fold it into the fused delta
-            delta = delta * cache.dropout_masks[last]
-        return self._backward(cache, delta)
+            delta *= cache.dropout_masks[last]
+        return self._backward(cache, delta, buf)
 
     def backprop_from(self, cache, upstream):
         """Gradients given dL/d(final post-dropout output) instead of labels."""
         last = len(self.layers) - 1
-        grad_h = upstream
         if last in cache.dropout_masks:
-            grad_h = grad_h * cache.dropout_masks[last]
-        delta = grad_h * _activation_grad(
-            self.layers[last].activation, cache.pre_activations[last], cache.post_activations[last]
+            grad_h = upstream * cache.dropout_masks[last]
+        else:
+            grad_h = np.array(upstream, dtype=np.float64)
+        delta = _activation_backward(
+            self.layers[last].activation, cache.post_activations[last], grad_h
         )
-        return self._backward(cache, delta)
+        return self._backward(cache, delta, _Buffers.fresh(len(self.layers)))
 
-    def _backward(self, cache, delta):
+    def _backward(self, cache, delta, buf):
         """Shared backward chain; `delta` is dL/dz of the last layer."""
         grads = [None] * len(self.layers)
-        grad_input = None
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if layer.trainable:
-                grads[i] = (cache.inputs[i].T @ delta, delta.sum(axis=0))
+                gw, gb = buf.grads[i] or (None, None)
+                grads[i] = (
+                    np.matmul(cache.inputs[i].T, delta, out=gw),
+                    np.add.reduce(delta, axis=0, out=gb),
+                )
             else:
                 grads[i] = (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
-            grad_input = delta @ layer.weights.T
-            if i > 0:
-                grad_h = grad_input
-                if (i - 1) in cache.dropout_masks:
-                    grad_h = grad_h * cache.dropout_masks[i - 1]
-                delta = grad_h * _activation_grad(
-                    self.layers[i - 1].activation,
-                    cache.pre_activations[i - 1],
-                    cache.post_activations[i - 1],
-                )
+            if i == 0:
+                break  # nothing consumes the gradient w.r.t. the input batch
+            if layer.fan_out == 1:
+                # an outer product: elementwise, it skips GEMM set-up and
+                # differs at most in the sign of zeros, which no later sum
+                # or Adam update can see
+                grad_h = np.multiply(delta, layer.weights.T, out=buf.grad[i - 1])
+            else:
+                grad_h = np.matmul(delta, layer.weights.T, out=buf.grad[i - 1])
+            if (i - 1) in cache.dropout_masks:
+                grad_h *= cache.dropout_masks[i - 1]
+            delta = _activation_backward(
+                self.layers[i - 1].activation, cache.post_activations[i - 1], grad_h
+            )
         return grads
-
-    def copy(self):
-        layers = [
-            DenseLayer(l.weights.copy(), l.biases.copy(), l.activation, l.trainable)
-            for l in self.layers
-        ]
-        return MlpNetwork(layers, [DropoutSpec(s.rate, s.placement) for s in self.dropout])
 
 
 def bce_loss(scores, labels):
@@ -239,6 +426,8 @@ def bce_loss(scores, labels):
     return float(-np.mean(labels * np.log(s) + (1.0 - labels) * np.log(1.0 - s)))
 
 
+
+
 @dataclass
 class AdamState:
     """Adam moments for one list of parameter arrays."""
@@ -250,6 +439,7 @@ class AdamState:
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
+    temps: list = field(default_factory=list, repr=False)
 
     def _ensure(self, params):
         if not self.first_moment:
@@ -257,26 +447,50 @@ class AdamState:
             self.second_moment = [np.zeros_like(p) for p in params]
         if len(self.first_moment) != len(params):
             raise NumericsError("Adam state does not match parameter count")
+        if len(self.temps) != len(params):
+            self.temps = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
 
 def adam_step(params, grads, state):
-    """One in-place Adam update over a flat list of parameter arrays."""
+    """One in-place Adam update over a flat list of parameter arrays.
+
+    `params` and `grads` may instead be two FlatBuffers of one layout: they
+    are then updated as one vector with one finiteness check, and an error
+    names the offending array.
+    """
+    names = None
+    if isinstance(grads, FlatBuffer):
+        names, params, grads = grads, [params.data], [grads.data]
     state._ensure(params)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for parameter {i}")
+        # the sum is non-finite if an element is, or on overflow; only
+        # then does the elementwise test run
+        if not np.isfinite(g.sum()) and not np.isfinite(g).all():
+            where = f"parameter {i}"
+            if names is not None:
+                where = names.name_at(np.flatnonzero(~np.isfinite(g))[0])
+            raise NonFiniteError(f"non-finite gradient for {where}")
         m = state.first_moment[i]
         v = state.second_moment[i]
+        tmp, step = state.temps[i]
+        # the same roundings as m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
+        # p -= lr m_hat / (sqrt(v_hat) + eps), with products commuted
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=tmp)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, 1.0 - b2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.epsilon
+        np.divide(m, 1.0 - b1**t, out=step)
+        step *= state.learning_rate
+        step /= tmp
+        p -= step
     return params, state
 
 

@@ -201,3 +201,50 @@ def test_importance_deterministic(tiny_csv, tmp_path, capsys):
 def test_missing_dataset_file_is_runtime_error(tmp_path, capsys):
     code, _, err = run(capsys, "clusters", tmp_path / "nope.csv")
     assert code == 3
+
+
+def test_divergence_is_a_runtime_error(tiny_csv, tmp_path, capsys, monkeypatch):
+    from gapnet.numerics import MlpNetwork
+
+    backprop = MlpNetwork.backprop
+
+    def poisoned(self, *args, **kwargs):
+        grads = backprop(self, *args, **kwargs)
+        grads[0][0][0, 0] = np.inf
+        return grads
+
+    monkeypatch.setattr(MlpNetwork, "backprop", poisoned)
+    code, _, err = run(
+        capsys, "train", tiny_csv, "--model", "vanilla", "--epochs", 3,
+        "--out", tmp_path / "out",
+    )
+    assert code == 3
+    failure = json.loads(err.splitlines()[-1])
+    assert failure["error"] == "runtime"
+    assert "non-finite gradient for layer 0 weights" in failure["message"]
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    import gapnet
+
+    # the paper dataset's GEMMs are large enough for OpenBLAS to split
+    csv_path = tmp_path / "m.csv"
+    run(capsys, "synth", "--paper-madelon", "--seed", 0, "--out", csv_path)
+    src = os.path.dirname(os.path.dirname(gapnet.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out_dir = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "gapnet.cli", "benchmark", str(csv_path),
+             "--missing-token", "", "--runs", "2", "--epochs", "3", "--seed", "0",
+             "--out", str(out_dir)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append((out_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]

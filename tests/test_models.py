@@ -8,7 +8,10 @@ from gapnet.models import (
     TrainingError,
     build_subnet,
     build_vanilla,
+    fit_gapnet,
+    fit_network,
     fuse,
+    gapnet_gradients,
     load_model,
     predict,
     predict_subnet,
@@ -19,7 +22,7 @@ from gapnet.models import (
     train_vanilla,
     _train_rows_for,
 )
-from gapnet.numerics import sigmoid
+from gapnet.numerics import AdamState, MlpNetwork, adam_step, sigmoid
 from gapnet.evaluation import auc
 from conftest import make_dataset
 
@@ -231,3 +234,78 @@ def test_serialization_round_trip(tmp_path, paper_madelon):
             predict(m, paper_madelon, s.test_rows),
             predict(loaded, paper_madelon, s.test_rows),
         )
+
+
+def reference_batches(n, cfg, rng):
+    """Row indices of every step of the plain training loop."""
+    for _ in range(cfg.epochs):
+        if cfg.batch_size is None or cfg.batch_size >= n:
+            yield np.arange(n)
+        else:
+            order = rng.permutation(n)
+            yield from (order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size))
+
+
+def reference_fit(net, X, y, cfg, rng):
+    """The plain training loop: fresh arrays every step, list Adam."""
+    params = [p for layer in net.layers for p in (layer.weights, layer.biases)]
+    state = AdamState(learning_rate=cfg.learning_rate)
+    for idx in reference_batches(len(X), cfg, rng):
+        cache = net.forward(X[idx], mode="train", rng=rng)
+        grads = [g for pair in net.backprop(cache, y[idx]) for g in pair]
+        adam_step(params, grads, state)
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_fit_network_matches_reference_loop(batch_size):
+    data = np.random.default_rng(21)
+    X = data.standard_normal((37, 5))  # 37 rows: a short last batch of 5
+    y = (X[:, 0] + 0.5 * data.standard_normal(37) > 0).astype(float)
+    cfg = fast_cfg(epochs=15, batch_size=batch_size)
+    engine = build_vanilla(5, rng=np.random.default_rng(3))
+    reference = build_vanilla(5, rng=np.random.default_rng(3))
+    rng_engine, rng_reference = np.random.default_rng(8), np.random.default_rng(8)
+    fit_network(engine, X, y, cfg, rng_engine)
+    reference_fit(reference, X, y, cfg, rng_reference)
+    for a, b in zip(engine.layers, reference.layers):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.biases, b.biases)
+    assert rng_engine.random() == rng_reference.random()
+
+
+@pytest.mark.parametrize("batch_size", [None, 32])
+def test_frozen_stage2_matches_reference_loop(paper_madelon, batch_size):
+    s = split(paper_madelon, 0.2, np.random.default_rng(0))
+    plan = signature_clusters(paper_madelon)
+    cfg = fast_cfg(epochs=12, batch_size=batch_size)
+    subnets = train_stage1(paper_madelon, plan, s, fast_cfg())
+    engine = fuse(subnets, plan.clusters, np.random.default_rng(1))
+    reference = fuse(subnets, plan.clusters, np.random.default_rng(1))
+    rows = _train_rows_for(paper_madelon, s, engine.feature_indices)
+    X = np.full((rows.size, paper_madelon.n_features), np.nan)
+    X[:, engine.feature_indices] = paper_madelon.dense_block(rows, engine.feature_indices)
+    y = paper_madelon.labels[rows].astype(float)
+    rng_engine, rng_reference = np.random.default_rng(5), np.random.default_rng(5)
+    fit_gapnet(engine, X, y, cfg, rng_engine)
+    params = [reference.fusion.weights, reference.fusion.biases]
+    state = AdamState(learning_rate=cfg.learning_rate)
+    for idx in reference_batches(rows.size, cfg, rng_reference):
+        caches, concat, scores = reference.forward(X[idx], mode="train", rng=rng_reference)
+        adam_step(params, gapnet_gradients(reference, caches, concat, scores, y[idx]), state)
+    assert np.array_equal(engine.fusion.weights, reference.fusion.weights)
+    assert np.array_equal(engine.fusion.biases, reference.fusion.biases)
+    assert rng_engine.random() == rng_reference.random()
+
+
+def test_divergence_names_the_parameter(monkeypatch):
+    backprop = MlpNetwork.backprop
+
+    def poisoned(self, *args, **kwargs):
+        grads = backprop(self, *args, **kwargs)
+        grads[1][1][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(MlpNetwork, "backprop", poisoned)
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    with pytest.raises(TrainingError, match="non-finite gradient for layer 1 biases"):
+        fit_network(build_vanilla(3), X, np.arange(6) % 2, fast_cfg(), np.random.default_rng(0))

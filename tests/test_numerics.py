@@ -231,3 +231,16 @@ def test_gradient_descent_decreases_loss_on_separable_toy():
             layer.weights -= 0.05 * gw
             layer.biases -= 0.05 * gb
     assert all(a > b for a, b in zip(losses, losses[1:]))
+
+
+def test_infer_forward_returns_fresh_arrays():
+    net = make_net([3, 6, 1], ["relu", "sigmoid"], seed=5)
+    x = np.random.default_rng(2).standard_normal((4, 3))
+    first = net.forward(x)
+    kept = first.outputs.copy()
+    second = net.forward(2.0 * x)
+    assert not np.shares_memory(first.outputs, second.outputs)
+    for a, b in zip(first.post_activations, second.post_activations):
+        assert not np.shares_memory(a, b)
+    assert np.array_equal(first.outputs, kept)
+
