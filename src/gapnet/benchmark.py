@@ -4,7 +4,7 @@ models on fresh splits, then aggregate ROC/AUC statistics across runs."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,30 +27,22 @@ class BenchmarkError(RuntimeError):
 
 
 @dataclass
-class BenchmarkConfig:
+class BenchmarkConfig(TrainConfig):
+    """Training settings plus the resampling ones; run i trains with seed
+    `seed ^ i`."""
+
     runs: int = 100
     test_fraction: float = 0.2
-    epochs: int = 2000
-    learning_rate: float = 1e-3
-    batch_size: int | None = None
-    dropout_rate: float = 0.5
-    hidden_multiplier: int = 2
-    seed: int = 0
-    freeze_bodies: bool = True
     normalize: bool = True
     stratified: bool = True
     jobs: int = 1
 
-    def train_config(self, run_seed):
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            dropout_rate=self.dropout_rate,
-            hidden_multiplier=self.hidden_multiplier,
-            seed=run_seed,
-            freeze_bodies=self.freeze_bodies,
-        )
+    def _rules(self):
+        return super()._rules() + [
+            (self.runs >= 2, "need at least 2 runs"),
+            (0.0 < self.test_fraction < 1.0, "test_fraction must be in (0, 1)"),
+            (self.jobs >= 1, "jobs must be >= 1"),
+        ]
 
 
 def run_single(ds, plan, cfg, run_index):
@@ -63,7 +55,7 @@ def run_single(ds, plan, cfg, run_index):
         work = ds_mod.normalize(ds, stats)
     else:
         work = ds
-    tcfg = cfg.train_config(run_seed)
+    tcfg = replace(cfg, seed=run_seed)
     vanilla = train_vanilla(work, split, tcfg)
     gap_model, subnets = train_gapnet(work, plan, split, tcfg)
     test = split.test_rows
@@ -95,8 +87,6 @@ def _worker(args):
 def run_benchmark(ds, plan=None, cfg=None):
     """All runs plus aggregation; identical output regardless of job count."""
     cfg = cfg or BenchmarkConfig()
-    if cfg.runs < 2:
-        raise BenchmarkError("need at least 2 runs")
     if plan is None:
         plan = signature_clusters(ds)
     tasks = [(ds, plan, cfg, i) for i in range(cfg.runs)]

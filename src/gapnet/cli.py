@@ -30,9 +30,9 @@ from .clustering import (
 from .dataset import DatasetError
 from .evaluation import EvaluationError, auc, importance_report
 from .models import (
-    GapNetModel,
     TrainConfig,
     TrainingError,
+    input_features,
     load_model,
     predict,
     predict_subnet,
@@ -218,9 +218,9 @@ def _train_config(args):
 
 
 def cmd_train(args):
+    cfg = _train_config(args)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
-    cfg = _train_config(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 17]))
     split = ds_mod.split(ds, args.test_fraction, rng, stratified=not args.no_stratify)
     stats = None
@@ -266,22 +266,16 @@ def cmd_train(args):
 
 
 def cmd_benchmark(args):
-    ds = _load_dataset(args)
-    plan = _resolve_plan(args, ds)
     cfg = BenchmarkConfig(
+        **vars(_train_config(args)),
         runs=args.runs,
         test_fraction=args.test_fraction,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        dropout_rate=args.dropout,
-        hidden_multiplier=args.hidden_multiplier,
-        seed=args.seed,
-        freeze_bodies=not args.unfreeze_bodies,
         normalize=not args.no_normalize,
         stratified=not args.no_stratify,
         jobs=args.jobs,
     )
+    ds = _load_dataset(args)
+    plan = _resolve_plan(args, ds)
     report = run_benchmark(ds, plan, cfg)
     out = _out_dir(args.out)
     config_snapshot = {
@@ -344,26 +338,15 @@ def cmd_importance(args):
     if feature_names is not None and feature_names != ds.feature_names:
         raise DatasetError("model feature names do not match the dataset header")
     work = ds_mod.normalize(ds, stats) if stats is not None else ds
-    if isinstance(model, GapNetModel):
-        feats = model.feature_indices
-    else:
-        feats = list(range(model.input_width))
+    feats = input_features(model)
     rows = work.complete_rows_for(feats)
     if rows.size == 0:
         raise DatasetError("no rows are complete for the model's features")
     Xc = work.dense_block(rows, feats)
     labels = work.labels[rows]
-
-    def predict_rows(Xsub):
-        if isinstance(model, GapNetModel):
-            full = np.full((Xsub.shape[0], ds.n_features), np.nan)
-            full[:, feats] = Xsub
-            return model.predict(full)
-        return model.forward(Xsub, mode="infer").outputs.reshape(-1)
-
     rng = np.random.default_rng(args.seed)
     report = importance_report(
-        predict_rows,
+        model.predict,
         Xc,
         labels,
         [ds.feature_names[j] for j in feats],

@@ -24,6 +24,10 @@ class FeatureCluster:
 
     def __post_init__(self):
         self.features = list(self.features)
+        if not all(isinstance(j, (int, np.integer)) and j >= 0 for j in self.features):
+            raise ClusteringError(
+                f"cluster {self.name!r} has a feature index that is not an integer >= 0"
+            )
         if not self.features:
             raise ClusteringError(f"cluster {self.name!r} is empty")
         if len(set(self.features)) != len(self.features):
@@ -44,7 +48,6 @@ class PlanReport:
     empty_support: list  # cluster names with zero complete rows
     uncovered_features: list
     counts: dict  # cluster name -> complete-row count
-    train_counts: dict  # cluster name -> rows after excluding a test set
 
 
 def signature_clusters(ds):
@@ -112,7 +115,7 @@ def merge_clusters(plan, ds, min_support):
     )
 
 
-def validate_plan(plan, ds, test_rows=None):
+def validate_plan(plan, ds):
     """Check disjointness, support, and coverage of a plan against a dataset."""
     owners = {}
     overlaps = []
@@ -123,13 +126,10 @@ def validate_plan(plan, ds, test_rows=None):
         if len(names) > 1:
             overlaps.append((j, names))
     uncovered = sorted(set(range(ds.n_features)) - set(owners))
-    counts, train_counts, empty = {}, {}, []
-    excluded = set() if test_rows is None else set(int(r) for r in test_rows)
+    counts, empty = {}, []
     for cluster in plan.clusters:
-        rows = ds.complete_rows_for(cluster.features)
-        counts[cluster.name] = int(rows.size)
-        train_counts[cluster.name] = int(sum(1 for r in rows if r not in excluded))
-        if rows.size == 0:
+        counts[cluster.name] = int(ds.complete_rows_for(cluster.features).size)
+        if counts[cluster.name] == 0:
             empty.append(cluster.name)
     return PlanReport(
         valid=not overlaps and not empty,
@@ -137,7 +137,6 @@ def validate_plan(plan, ds, test_rows=None):
         empty_support=empty,
         uncovered_features=uncovered,
         counts=counts,
-        train_counts=train_counts,
     )
 
 

@@ -75,7 +75,6 @@ class GappedDataset:
 class DataSplit:
     train_rows: np.ndarray
     test_rows: np.ndarray
-    seed: int | None = None
 
 
 @dataclass

@@ -24,15 +24,14 @@ def _midranks(x):
     """Mid-ranks (1-based) with ties sharing the average rank."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run of equal sorted values spans positions first..last
+    starts = np.ones(x.size, dtype=bool)
+    np.not_equal(sx[1:], sx[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    last = np.r_[first[1:], x.size] - 1
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(starts) - 1]
     return ranks
 
 
@@ -138,15 +137,18 @@ class DelongResult:
 
 
 def structural_components(scores, labels):
-    """DeLong V10 (one per positive) and V01 (one per negative)."""
+    """DeLong V10 (one per positive) and V01 (one per negative), from
+    midranks (Sun & Xu 2014). Midrank differences are exact pair counts
+    (ties as half), so each component is one division, as by definition."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
-    # psi(x, y) = 1 if x > y, 0.5 if tied, 0 otherwise
-    cmp = (pos[:, None] > neg[None, :]).astype(np.float64)
-    cmp += 0.5 * (pos[:, None] == neg[None, :])
-    return cmp.mean(axis=1), cmp.mean(axis=0)
+    m, n = pos.size, neg.size
+    combined = _midranks(np.r_[pos, neg])
+    below_pos = combined[:m] - _midranks(pos)  # negatives below each positive
+    below_neg = combined[m:] - _midranks(neg)  # positives below each negative
+    return below_pos / n, (m - below_neg) / m
 
 
 def delong_test(scores_a, scores_b, labels):

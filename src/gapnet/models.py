@@ -9,6 +9,7 @@ sigmoid output node over the concatenation on the fully complete rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,14 @@ class TrainingError(RuntimeError):
     pass
 
 
+class ConfigError(ValueError):
+    """An invalid training or benchmark setting."""
+
+
+class ModelFileError(ValueError):
+    """A model file that does not describe a valid model."""
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 2000
@@ -47,8 +56,19 @@ class TrainConfig:
     freeze_bodies: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise TrainingError("epochs must be >= 1")
+        for ok, message in self._rules():
+            if not ok:
+                raise ConfigError(message)
+
+    def _rules(self):
+        return [
+            (self.epochs >= 1, "epochs must be >= 1"),
+            (0 < self.learning_rate < math.inf, "learning_rate must be positive and finite"),
+            (self.batch_size is None or self.batch_size >= 1, "batch_size must be >= 1"),
+            (0.0 <= self.dropout_rate < 1.0, "dropout_rate must be in [0, 1)"),
+            (self.hidden_multiplier >= 1, "hidden_multiplier must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),  # as SeedSequence requires
+        ]
 
 
 def build_vanilla(n_features, hidden_multiplier=2, dropout_rate=0.5, rng=None):
@@ -128,7 +148,9 @@ def fit_network(net, X, y, cfg, rng):
 
 class GapNetModel:
     """Fused model: frozen (or fine-tunable) sub-network bodies plus one
-    trainable sigmoid output node over their concatenated hidden outputs."""
+    trainable sigmoid output node over their concatenated hidden outputs.
+    Its input is the block of the `feature_indices` columns, in that order;
+    `columns[k]` indexes body k's columns of it."""
 
     def __init__(self, bodies, clusters, fusion, freeze_bodies=True):
         expected = sum(b.output_width for b in bodies)
@@ -136,6 +158,14 @@ class GapNetModel:
             raise NumericsError(
                 f"fusion input width {fusion.fan_in} != sum of body widths {expected}"
             )
+        widths = [b.input_width for b in bodies]
+        if widths != [len(c.features) for c in clusters]:
+            raise NumericsError(f"body input widths {widths} do not match the cluster sizes")
+        # index arrays, not slices: X[:, cols] is the F-ordered copy the
+        # bodies' GEMMs have always been given
+        ends = np.cumsum(widths, dtype=int)
+        self.columns = [np.arange(end - w, end) for w, end in zip(widths, ends)]
+        self.input_width = sum(widths)
         self.bodies = bodies
         self.clusters = clusters
         self.fusion = fusion
@@ -148,11 +178,16 @@ class GapNetModel:
     def feature_indices(self):
         return [j for c in self.clusters for j in c.features]
 
+    def check_block(self, X):
+        if X.ndim != 2 or X.shape[1] != self.input_width:
+            raise NumericsError(f"input {X.shape} is not {self.input_width} feature columns")
+
     def forward(self, X, mode="infer", rng=None):
-        """X has full dataset width; each body slices its cluster's columns."""
+        """X is the feature block; each body takes its cluster's columns."""
+        self.check_block(X)
         caches = [
-            body.forward(X[:, c.features], mode=mode, rng=rng)
-            for body, c in zip(self.bodies, self.clusters)
+            body.forward(X[:, cols], mode=mode, rng=rng)
+            for body, cols in zip(self.bodies, self.columns)
         ]
         concat = np.hstack([cache.outputs for cache in caches])
         z = concat @ self.fusion.weights + self.fusion.biases
@@ -208,7 +243,7 @@ class _FrozenBodies:
     follows their last layer.
 
     Such a body's output before that dropout never changes, so it is computed
-    once, from the same column slices of X that `GapNetModel.forward` takes.
+    once, from the same columns of X that `GapNetModel.forward` takes.
     Each call then draws only the dropout masks, in the order a full pass
     draws them, and applies the fusion node. Minibatches get no cache: the
     cached rows of a batch can differ by an ulp from a GEMM over those rows.
@@ -218,8 +253,8 @@ class _FrozenBodies:
         self.fusion = model.fusion
         self.rng = rng
         self.hidden = [
-            body.forward(X[:, c.features]).outputs
-            for body, c in zip(model.bodies, model.clusters)
+            body.forward(X[:, cols]).outputs
+            for body, cols in zip(model.bodies, model.columns)
         ]
         self.rates = []
         for body in model.bodies:
@@ -263,6 +298,7 @@ def fit_gapnet(model, X, y, cfg, rng):
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    model.check_block(X)
     n = X.shape[0]
     if n == 0:
         raise TrainingError("empty stage-II training set")
@@ -328,8 +364,7 @@ def train_stage2(model, ds, split, cfg):
     if rows.size == 0:
         raise TrainingError("no complete training rows for stage II")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1000)[-1])
-    X = np.full((rows.size, ds.n_features), np.nan)
-    X[:, model.feature_indices] = ds.dense_block(rows, model.feature_indices)
+    X = ds.dense_block(rows, model.feature_indices)
     return fit_gapnet(model, X, ds.labels[rows], cfg, rng)
 
 
@@ -356,21 +391,21 @@ def train_vanilla(ds, split, cfg):
     return net
 
 
+def input_features(model):
+    """The dataset columns a model reads, in its input order."""
+    if isinstance(model, GapNetModel):
+        return model.feature_indices
+    return range(model.input_width)
+
+
 def predict(model, ds, rows):
     """Deterministic scores for complete-enough rows of a dataset."""
-    rows = np.asarray(rows, dtype=int)
-    if isinstance(model, GapNetModel):
-        X = np.full((rows.size, ds.n_features), np.nan)
-        X[:, model.feature_indices] = ds.dense_block(rows, model.feature_indices)
-        return model.predict(X)
-    X = ds.dense_block(rows, range(model.input_width))
-    return model.forward(X, mode="infer").outputs.reshape(-1)
+    return model.predict(ds.dense_block(rows, input_features(model)))
 
 
 def predict_subnet(net, cluster, ds, rows):
     """Score rows with a stage-I sub-network (its own cluster features only)."""
-    X = ds.dense_block(np.asarray(rows, dtype=int), cluster.features)
-    return net.forward(X, mode="infer").outputs.reshape(-1)
+    return net.predict(ds.dense_block(rows, cluster.features))
 
 
 # --- serialization -----------------------------------------------------------
@@ -437,12 +472,11 @@ def save_model(model, path, feature_names=None, normalization=None):
         fh.write("\n")
 
 
-def load_model(path):
-    """Returns (model, feature_names or None, NormalizationStats or None)."""
+def _model_from_json(obj):
     from .dataset import NormalizationStats
 
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ModelFileError("expected a JSON object")
     if obj["kind"] == "gapnet":
         model = GapNetModel(
             bodies=[_net_from_json(b) for b in obj["bodies"]],
@@ -455,11 +489,29 @@ def load_model(path):
     elif obj["kind"] == "mlp":
         model = _net_from_json(obj["network"])
     else:
-        raise TrainingError(f"unknown model kind {obj['kind']!r}")
+        raise ModelFileError(f"unknown model kind {obj['kind']!r}")
     stats = None
     if "normalization" in obj:
         stats = NormalizationStats(
-            mean=np.array(obj["normalization"]["mean"]),
-            std=np.array(obj["normalization"]["std"]),
+            mean=np.array(obj["normalization"]["mean"], dtype=np.float64),
+            std=np.array(obj["normalization"]["std"], dtype=np.float64),
         )
     return model, obj.get("feature_names"), stats
+
+
+def load_model(path):
+    """Returns (model, feature_names or None, NormalizationStats or None).
+
+    Raises ModelFileError, a ValueError, when the file does not describe a
+    model: a wrong kind, a missing key, a non-numeric array, layers that do
+    not chain, an unknown activation, or a body that does not fit its
+    cluster.
+    """
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    try:
+        return _model_from_json(obj)
+    except KeyError as exc:
+        raise ModelFileError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc

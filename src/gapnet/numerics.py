@@ -160,6 +160,15 @@ class DenseLayer:
     activation: str = "relu"
     trainable: bool = True
 
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise NumericsError(f"unknown activation {self.activation!r}")
+        if self.weights.ndim != 2 or self.biases.shape != self.weights.shape[1:]:
+            raise NumericsError(
+                f"weights of shape {self.weights.shape} and biases of shape "
+                f"{self.biases.shape} do not form a layer"
+            )
+
     @property
     def fan_in(self):
         return self.weights.shape[0]
@@ -225,9 +234,8 @@ class Workspace:
     `grads` holds the trainable layers' gradients in one FlatBuffer (weights
     then biases, layer by layer), laid out like the parameters a trainer
     packs. Arrays a step returns stay valid only until the next step. Each
-    activation is computed in place over its pre-activation, so the cache's
-    pre-activations hold post-activations, the only ones backprop reads;
-    fewer arrays keep a step's working set in the CPU cache.
+    activation is computed in place over its pre-activation, which backprop
+    never reads; fewer arrays keep a step's working set in the CPU cache.
     """
 
     def __init__(self, net, rows):
@@ -272,7 +280,6 @@ class ForwardCache:
     """Per-layer tensors recorded during a forward pass, needed by backprop."""
 
     inputs: list  # input to each layer (post-dropout of the previous one)
-    pre_activations: list
     post_activations: list  # after activation, before dropout
     dropout_masks: dict  # layer index -> mask (already scaled by 1/keep)
     outputs: np.ndarray  # final post-dropout output of the last layer
@@ -282,6 +289,8 @@ class MlpNetwork:
     """A stack of dense layers with optional dropout after given layers."""
 
     def __init__(self, layers, dropout=()):
+        if not layers:
+            raise NumericsError("a network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
             if a.fan_out != b.fan_in:
                 raise NumericsError(
@@ -330,14 +339,13 @@ class MlpNetwork:
         if mode == "train" and any(s.rate > 0 for s in self.dropout) and rng is None:
             raise NumericsError("train mode with dropout requires an rng")
         buf = self._buffers(workspace, batch.shape[0])
-        inputs, pre, post, masks = [], [], [], {}
+        inputs, post, masks = [], [], {}
         a = batch
         for i, layer in enumerate(self.layers):
             inputs.append(a)
             z = np.matmul(a, layer.weights, out=buf.h[i])
             z += layer.biases
             h = _ACTIVATIONS[layer.activation](z, out=buf.h[i])
-            pre.append(z)
             post.append(h)
             spec = self._dropout_for(i)
             if spec is not None and spec.rate > 0 and mode == "train":
@@ -345,7 +353,11 @@ class MlpNetwork:
                 a = np.multiply(h, masks[i], out=buf.a[i])
             else:
                 a = h
-        return ForwardCache(inputs, pre, post, masks, a)
+        return ForwardCache(inputs, post, masks, a)
+
+    def predict(self, X):
+        """Scores of an inference pass, one per row of X."""
+        return self.forward(X, mode="infer").outputs.reshape(-1)
 
     def backprop(self, cache, labels, workspace=None):
         """Gradients of mean BCE loss w.r.t. all parameters.

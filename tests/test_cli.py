@@ -167,8 +167,70 @@ def test_benchmark_needs_two_runs(tiny_csv, tmp_path, capsys):
     code, _, err = run(
         capsys, "benchmark", tiny_csv, "--runs", 1, "--out", tmp_path / "b"
     )
-    assert code == 3
-    assert json.loads(err.splitlines()[-1])["error"] == "runtime"
+    assert code == 2
+    assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--learning-rate", "-1"], ["--jobs", "0"], ["--epochs", "0"], ["--runs", "1"],
+    ["--batch-size", "0"], ["--batch-size", "-5"], ["--hidden-multiplier", "0"],
+    ["--dropout", "1.0"], ["--test-fraction", "1.5"], ["--seed", "-1"],
+])
+def test_invalid_benchmark_config_is_rejected_before_training(
+    tiny_csv, tmp_path, capsys, monkeypatch, flags
+):
+    import gapnet.cli
+
+    def no_training(*args):
+        raise AssertionError("an invalid config reached training")
+
+    monkeypatch.setattr(gapnet.cli, "run_benchmark", no_training)
+    code, _, err = run(capsys, "benchmark", tiny_csv, *flags, "--out", tmp_path / "b")
+    assert code == 2
+    assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
+def test_benchmark_config_keys():
+    from gapnet.benchmark import BenchmarkConfig
+
+    # the flat keys of report.json's config hash and of manifest.json
+    assert set(vars(BenchmarkConfig())) == {
+        "epochs", "learning_rate", "batch_size", "dropout_rate", "hidden_multiplier",
+        "seed", "freeze_bodies", "runs", "test_fraction", "normalize", "stratified",
+        "jobs",
+    }
+
+
+@pytest.mark.parametrize("model", [[1], {"kind": "gapnet"}, {"kind": "forest"}])
+def test_importance_rejects_invalid_model_file(tiny_csv, tmp_path, capsys, model):
+    path = tmp_path / "bad.model.json"
+    path.write_text(json.dumps(model))
+    code, _, err = run(capsys, "importance", path, tiny_csv)
+    assert code == 2
+    assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
+def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gapnet
+
+    # the benchmark's tracer looks gapnet's functions up by name
+    root = Path(__file__).resolve().parent.parent
+    src = os.path.dirname(os.path.dirname(gapnet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
+         "gapnet", "--", "clusters", str(tiny_csv), "--missing-token", ""],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "cli.clusters" in {span[1] for span in json.loads(spans.read_text())}
 
 
 def test_importance_command(tiny_csv, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gapnet.evaluation import (
     EvaluationError,
     RocCurve,
+    _midranks,
     aggregate_runs,
     auc,
     confusion_at,
@@ -191,14 +192,38 @@ def brute_force_components(scores, labels):
 @pytest.mark.parametrize("seed", range(30))
 def test_structural_components_match_brute_force(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 12))
+    n = int(rng.integers(4, 12)) if seed < 10 else int(rng.integers(12, 201))
     labels = rng.integers(0, 2, n)
     labels[:2] = [0, 1]
-    scores = np.round(rng.random(n), 1)
+    scores = np.round(rng.random(n), 1 + seed % 3)  # ties at every size
     v10, v01 = structural_components(scores, labels)
     b10, b01 = brute_force_components(scores, labels)
-    assert v10 == pytest.approx(b10, abs=1e-12)
-    assert v01 == pytest.approx(b01, abs=1e-12)
+    # each component is an exact pair count divided once, either way
+    assert np.array_equal(v10, b10)
+    assert np.array_equal(v01, b01)
+
+
+def reference_midranks(x):
+    """The plain loop: walk the sorted values, one run of ties at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, np.inf])
+                | st.floats(allow_nan=False), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_midranks_match_reference_loop(values):
+    assert np.array_equal(_midranks(values), reference_midranks(values))
 
 
 def test_delong_p_matches_normal_tail():

@@ -1,9 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapnet.clustering import FeatureCluster, signature_clusters
+from gapnet.clustering import ClusterPlan, FeatureCluster, signature_clusters
 from gapnet.dataset import split
 from gapnet.models import (
+    ConfigError,
+    ModelFileError,
     TrainConfig,
     TrainingError,
     build_subnet,
@@ -162,9 +168,17 @@ def test_predict_scores_and_determinism(paper_madelon):
     assert np.all((sub_scores > 0) & (sub_scores < 1))
 
 
-def test_gapnet_score_composes_from_bodies(paper_madelon):
+def interleaved_plan(ds):
+    """Two clusters out of index order, each taking every other feature."""
+    odd = list(range(ds.n_features - 1, -1, -2))
+    even = list(range(ds.n_features - 2, -1, -2))
+    return ClusterPlan([FeatureCluster("b", odd), FeatureCluster("a", even)], [])
+
+
+@pytest.mark.parametrize("make_plan", [signature_clusters, interleaved_plan])
+def test_gapnet_score_composes_from_bodies(paper_madelon, make_plan):
     s = split(paper_madelon, 0.2, np.random.default_rng(0))
-    plan = signature_clusters(paper_madelon)
+    plan = make_plan(paper_madelon)
     model, _ = train_gapnet(paper_madelon, plan, s, fast_cfg())
     rows = s.test_rows[:5]
     scores = predict(model, paper_madelon, rows)
@@ -202,7 +216,7 @@ def test_learning_sanity_on_separable_toy(toy_separable):
 
 
 def test_epochs_must_be_positive():
-    with pytest.raises(TrainingError):
+    with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
 
 
@@ -282,8 +296,7 @@ def test_frozen_stage2_matches_reference_loop(paper_madelon, batch_size):
     engine = fuse(subnets, plan.clusters, np.random.default_rng(1))
     reference = fuse(subnets, plan.clusters, np.random.default_rng(1))
     rows = _train_rows_for(paper_madelon, s, engine.feature_indices)
-    X = np.full((rows.size, paper_madelon.n_features), np.nan)
-    X[:, engine.feature_indices] = paper_madelon.dense_block(rows, engine.feature_indices)
+    X = paper_madelon.dense_block(rows, engine.feature_indices)
     y = paper_madelon.labels[rows].astype(float)
     rng_engine, rng_reference = np.random.default_rng(5), np.random.default_rng(5)
     fit_gapnet(engine, X, y, cfg, rng_engine)
@@ -309,3 +322,109 @@ def test_divergence_names_the_parameter(monkeypatch):
     X = np.random.default_rng(0).standard_normal((6, 3))
     with pytest.raises(TrainingError, match="non-finite gradient for layer 1 biases"):
         fit_network(build_vanilla(3), X, np.arange(6) % 2, fast_cfg(), np.random.default_rng(0))
+
+
+def tiny_models(tmp_path):
+    """Saved gapnet and baseline models of a small dataset, as parsed JSON."""
+    rng = np.random.default_rng(2)
+    ds = make_dataset(rng.standard_normal((30, 4)), labels=np.arange(30) % 2)
+    plan = ClusterPlan([FeatureCluster("b", [3, 1]), FeatureCluster("a", [0, 2])], [])
+    s = split(ds, 0.2, np.random.default_rng(0))
+    model, _ = train_gapnet(ds, plan, s, fast_cfg())
+    out = {}
+    for kind, m in (("gapnet", model), ("mlp", train_vanilla(ds, s, fast_cfg()))):
+        save_model(m, tmp_path / "m.json")
+        out[kind] = json.loads((tmp_path / "m.json").read_text())
+    return out
+
+
+def _at(path, change):
+    """A corruption that applies `change(parent, key)` at a JSON path."""
+
+    def corrupt(obj):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        change(parent, path[-1])
+        return obj
+
+    return corrupt
+
+
+def _set(path, value):
+    return _at(path, lambda parent, key: parent.__setitem__(key, value))
+
+
+def _drop(path):
+    return _at(path, lambda parent, key: parent.__delitem__(key))
+
+
+# name -> (model kind, corruption, expected message)
+MODEL_CORRUPTIONS = {
+    "not an object": ("gapnet", lambda obj: [1], "expected a JSON object"),
+    "kind only": ("gapnet", lambda obj: {"kind": "gapnet"}, "missing key 'bodies'"),
+    "wrong kind": ("gapnet", _set(["kind"], "forest"), "unknown model kind 'forest'"),
+    "missing fusion": ("gapnet", _drop(["fusion"]), "missing key 'fusion'"),
+    "missing biases": ("mlp", _drop(["network", "layers", 0, "biases"]),
+                       "missing key 'biases'"),
+    "string weights": ("gapnet", _set(["bodies", 0, "layers", 0, "weights"], "abc"),
+                       "could not convert"),
+    "non-numeric weight": ("mlp", _set(["network", "layers", 1, "weights", 0, 0], "x"),
+                           "could not convert"),
+    "ragged weights": ("mlp", _set(["network", "layers", 0, "weights", 1], [1.0]),
+                       "inhomogeneous"),
+    "biases of wrong width": ("mlp", _set(["network", "layers", 2, "biases"], [0.0, 0.0]),
+                              "do not form a layer"),
+    "layers do not chain": ("gapnet", _set(["bodies", 1, "layers", 1, "weights"],
+                                           [[0.0] * 4] * 3), "do not chain"),
+    "no layers": ("mlp", _set(["network", "layers"], []), "at least one layer"),
+    "unknown activation": ("gapnet", _set(["bodies", 0, "layers", 1, "activation"], "tanh"),
+                           "unknown activation 'tanh'"),
+    "body wider than cluster": ("gapnet", _set(["clusters", 0, "features"], [3]),
+                                "do not match the cluster sizes"),
+    "fusion of wrong width": ("gapnet", _drop(["bodies", 0]), "fusion input width"),
+    "fractional feature index": ("gapnet", _set(["clusters", 1, "features"], [0, 2.5]),
+                                 "not an integer"),
+    "dropout rate of 1": ("mlp", _set(["network", "dropout", 0, "rate"], 1.0),
+                          "dropout rate"),
+    "non-numeric normalization": ("mlp", _set(["normalization"], {"mean": ["a"], "std": [1]}),
+                                  "could not convert"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CORRUPTIONS))
+def test_load_model_rejects_corrupt_files(tmp_path, name):
+    kind, corrupt, message = MODEL_CORRUPTIONS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(corrupt(tiny_models(tmp_path)[kind])))
+    with pytest.raises(ModelFileError, match=f"bad.json: .*{message}"):
+        load_model(path)
+
+
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    freeze=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(sizes)).tolist()  # clusters in any index order
+    ends = np.cumsum(sizes).tolist()
+    clusters = [
+        FeatureCluster(f"c{k}", order[end - size : end])
+        for k, (size, end) in enumerate(zip(sizes, ends))
+    ]
+    subnets = [build_subnet(c, rng=rng) for c in clusters]
+    model = fuse(subnets, clusters, rng, freeze_bodies=freeze)
+    weights = model.bodies[0].layers[0].weights.reshape(-1)
+    weights[: len(special)] = special[: weights.size]  # any finite float64
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(model, path)
+    loaded, names, stats = load_model(path)
+    assert (names, stats, loaded.freeze_bodies) == (None, None, freeze)
+    assert loaded.feature_indices == model.feature_indices
+    X = rng.standard_normal((7, model.input_width))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge special weights
+        assert np.array_equal(loaded.predict(X), model.predict(X), equal_nan=True)
