@@ -79,9 +79,9 @@ def _worker(args):
     try:
         return run_single(ds, plan, cfg, run_index)
     except Exception as exc:
-        raise BenchmarkError(
-            f"run {run_index} (seed {cfg.seed ^ run_index}) failed: {exc}"
-        ) from exc
+        # an input error stays a ValueError, so the CLI reports it as one
+        kind = ValueError if isinstance(exc, ValueError) else BenchmarkError
+        raise kind(f"run {run_index} (seed {cfg.seed ^ run_index}) failed: {exc}") from exc
 
 
 def run_benchmark(ds, plan=None, cfg=None):

@@ -1,7 +1,7 @@
 """Command-line front end: synth, clusters, train, benchmark, importance.
 
-Exit codes: 0 success, 2 validation error, 3 runtime/training error.
-Errors go to stderr as one JSON object per failure.
+Exit codes: 0 success, 2 invalid input (a ValueError), 3 failed run (a
+RuntimeError or OSError). Errors go to stderr as one JSON object per failure.
 """
 
 from __future__ import annotations
@@ -19,19 +19,12 @@ import numpy as np
 
 from . import __version__
 from . import dataset as ds_mod
-from .benchmark import BenchmarkConfig, BenchmarkError, run_benchmark
-from .clustering import (
-    ClusteringError,
-    attach_counts,
-    load_plan,
-    signature_clusters,
-    validate_plan,
-)
+from .benchmark import BenchmarkConfig, run_benchmark
+from .clustering import ClusteringError, load_plan, signature_clusters, validate_plan
 from .dataset import DatasetError
-from .evaluation import EvaluationError, auc, importance_report
+from .evaluation import auc, importance_report
 from .models import (
     TrainConfig,
-    TrainingError,
     input_features,
     load_model,
     predict,
@@ -40,17 +33,8 @@ from .models import (
     train_gapnet,
     train_vanilla,
 )
-from .numerics import NumericsError, pin_blas_threads
-from .synth import GapPattern, MadelonConfig, SynthError, generate_madelon, inject_gaps, paper_gap_pattern
-
-VALIDATION_ERRORS = (
-    DatasetError,
-    ClusteringError,
-    SynthError,
-    EvaluationError,
-    ValueError,
-)
-RUNTIME_ERRORS = (TrainingError, BenchmarkError, NumericsError, RuntimeError, OSError)
+from .numerics import pin_blas_threads
+from .synth import GapPattern, MadelonConfig, generate_madelon, inject_gaps, paper_gap_pattern
 
 
 def _fail(kind, message):
@@ -106,7 +90,6 @@ def _load_dataset(args):
 def _resolve_plan(args, ds):
     if getattr(args, "plan", None):
         plan = load_plan(args.plan, ds.feature_names)
-        attach_counts(plan, ds)
         report = validate_plan(plan, ds)
         if not report.valid:
             raise ClusteringError(
@@ -172,11 +155,7 @@ def cmd_synth(args):
 
 def cmd_clusters(args):
     ds = _load_dataset(args)
-    if args.plan:
-        plan = load_plan(args.plan, ds.feature_names)
-        attach_counts(plan, ds)
-    else:
-        plan = signature_clusters(ds)
+    plan = load_plan(args.plan, ds.feature_names) if args.plan else signature_clusters(ds)
     report = validate_plan(plan, ds)
     out = {
         "clusters": [
@@ -333,6 +312,8 @@ def cmd_benchmark(args):
 
 
 def cmd_importance(args):
+    if args.top_k < 0:
+        raise ValueError("--top-k must be >= 0")
     model, feature_names, stats = load_model(args.model)
     ds = _load_dataset(args)
     if feature_names is not None and feature_names != ds.feature_names:
@@ -440,10 +421,10 @@ def main(argv=None):
     pin_blas_threads()
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         _fail("validation", exc)
         return 2
-    except RUNTIME_ERRORS as exc:
+    except (RuntimeError, OSError) as exc:
         _fail("runtime", exc)
         return 3
 

@@ -8,7 +8,7 @@ enough jointly-complete rows per cluster.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class FeatureCluster:
 class ClusterPlan:
     clusters: list  # of FeatureCluster
     complete_counts: list  # complete-row count per cluster, same order
-    uncovered_features: list = field(default_factory=list)
 
 
 @dataclass
@@ -108,11 +107,7 @@ def merge_clusters(plan, ds, min_support):
         for i, g in enumerate(groups)
     ]
     counts = [int(ds.complete_rows_for(c.features).size) for c in clusters]
-    return ClusterPlan(
-        clusters=clusters,
-        complete_counts=counts,
-        uncovered_features=list(plan.uncovered_features),
-    )
+    return ClusterPlan(clusters=clusters, complete_counts=counts)
 
 
 def validate_plan(plan, ds):
@@ -149,15 +144,15 @@ def load_plan(path, feature_names):
     name_to_idx = {n: i for i, n in enumerate(feature_names)}
     clusters = []
     for name, feats in raw.items():
+        if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
+            raise ClusteringError(f"{path}: {name!r} must map to a list of feature names")
         indices = []
         for f in feats:
             if f not in name_to_idx:
                 raise ClusteringError(f"{path}: unknown feature {f!r} in {name!r}")
             indices.append(name_to_idx[f])
         clusters.append(FeatureCluster(name=name, features=indices))
-    covered = {j for c in clusters for j in c.features}
-    uncovered = sorted(set(range(len(feature_names))) - covered)
-    return ClusterPlan(clusters=clusters, complete_counts=[], uncovered_features=uncovered)
+    return ClusterPlan(clusters=clusters, complete_counts=[])
 
 
 def save_plan(plan, path, feature_names):

@@ -29,7 +29,6 @@ from .numerics import (
     dropout_mask,
     glorot_init,
     pin_blas_threads,
-    sigmoid,
 )
 
 
@@ -133,11 +132,14 @@ def fit_network(net, X, y, cfg, rng):
     if n == 0:
         raise TrainingError("empty training set")
     params = _pack([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable])
-    workspace = Workspace(net, min(n, cfg.batch_size or n))
+    # one workspace per batch length: the full batches and a short last one
+    size = min(n, cfg.batch_size or n)
+    workspaces = {rows: Workspace(net, rows) for rows in {size, n % size} if rows}
     state = AdamState(learning_rate=cfg.learning_rate)
 
     def step(rows):
         Xb, yb = (X, y) if rows is None else (X[rows], y[rows])
+        workspace = workspaces[len(yb)]
         cache = net.forward(Xb, mode="train", rng=rng, workspace=workspace)
         net.backprop(cache, yb, workspace=workspace)
         adam_step(params, workspace.grads, state)
@@ -150,7 +152,8 @@ class GapNetModel:
     """Fused model: frozen (or fine-tunable) sub-network bodies plus one
     trainable sigmoid output node over their concatenated hidden outputs.
     Its input is the block of the `feature_indices` columns, in that order;
-    `columns[k]` indexes body k's columns of it."""
+    `columns[k]` indexes body k's columns of it. `head` is the one-layer
+    network of the `fusion` layer, which it shares."""
 
     def __init__(self, bodies, clusters, fusion, freeze_bodies=True):
         expected = sum(b.output_width for b in bodies)
@@ -158,6 +161,8 @@ class GapNetModel:
             raise NumericsError(
                 f"fusion input width {fusion.fan_in} != sum of body widths {expected}"
             )
+        if (fusion.fan_out, fusion.activation) != (1, "sigmoid"):
+            raise NumericsError("the fusion node must be one sigmoid unit")
         widths = [b.input_width for b in bodies]
         if widths != [len(c.features) for c in clusters]:
             raise NumericsError(f"body input widths {widths} do not match the cluster sizes")
@@ -169,6 +174,7 @@ class GapNetModel:
         self.bodies = bodies
         self.clusters = clusters
         self.fusion = fusion
+        self.head = MlpNetwork([fusion])
         self.freeze_bodies = freeze_bodies
         for body in self.bodies:
             for layer in body.layers:
@@ -190,8 +196,7 @@ class GapNetModel:
             for body, cols in zip(self.bodies, self.columns)
         ]
         concat = np.hstack([cache.outputs for cache in caches])
-        z = concat @ self.fusion.weights + self.fusion.biases
-        return caches, concat, sigmoid(z)
+        return caches, concat, self.head.forward(concat).outputs
 
     def predict(self, X):
         _, _, scores = self.forward(np.asarray(X, dtype=np.float64))
@@ -245,12 +250,12 @@ class _FrozenBodies:
     Such a body's output before that dropout never changes, so it is computed
     once, from the same columns of X that `GapNetModel.forward` takes.
     Each call then draws only the dropout masks, in the order a full pass
-    draws them, and applies the fusion node. Minibatches get no cache: the
+    draws them, and applies the head. Minibatches get no cache: the
     cached rows of a batch can differ by an ulp from a GEMM over those rows.
     """
 
     def __init__(self, model, X, rng):
-        self.fusion = model.fusion
+        self.head = model.head
         self.rng = rng
         self.hidden = [
             body.forward(X[:, cols]).outputs
@@ -265,8 +270,6 @@ class _FrozenBodies:
             for h, rate in zip(self.hidden, self.rates)
         ]
         self.concat = np.empty((X.shape[0], sum(h.shape[1] for h in self.hidden)))
-        self.z = np.empty((X.shape[0], self.fusion.fan_out))
-        self.scores = np.empty_like(self.z)
 
     @staticmethod
     def applies(model):
@@ -285,9 +288,7 @@ class _FrozenBodies:
             else:
                 np.multiply(h, dropout_mask(self.rng, rate, None, out=mask), out=block)
             offset += h.shape[1]
-        z = np.matmul(self.concat, self.fusion.weights, out=self.z)
-        z += self.fusion.biases
-        return None, self.concat, sigmoid(z, out=self.scores)
+        return None, self.concat, self.head.forward(self.concat).outputs
 
 
 def fit_gapnet(model, X, y, cfg, rng):
@@ -363,7 +364,7 @@ def train_stage2(model, ds, split, cfg):
     rows = _train_rows_for(ds, split, model.feature_indices)
     if rows.size == 0:
         raise TrainingError("no complete training rows for stage II")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1000)[-1])
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(999,)))
     X = ds.dense_block(rows, model.feature_indices)
     return fit_gapnet(model, X, ds.labels[rows], cfg, rng)
 
@@ -371,7 +372,7 @@ def train_stage2(model, ds, split, cfg):
 def train_gapnet(ds, plan, split, cfg):
     """Both stages: sub-networks, fuse, then fusion training."""
     subnets = train_stage1(ds, plan, split, cfg)
-    fuse_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1001)[-1])
+    fuse_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1000,)))
     model = fuse(subnets, plan.clusters, fuse_rng, freeze_bodies=cfg.freeze_bodies)
     train_stage2(model, ds, split, cfg)
     return model, subnets
@@ -382,7 +383,7 @@ def train_vanilla(ds, split, cfg):
     rows = _train_rows_for(ds, split, range(ds.n_features))
     if rows.size == 0:
         raise TrainingError("no complete training rows for the baseline")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[-1])
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     net = build_vanilla(
         ds.n_features, cfg.hidden_multiplier, cfg.dropout_rate, rng=rng
     )

@@ -22,6 +22,11 @@ import numpy as np
 
 SCORE_EPS = 1e-12
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 # OpenBLAS thread-count setters, by the symbol names numpy's wheels have used
 _BLAS_THREAD_SETTERS = (
     "scipy_openblas_set_num_threads64_",
@@ -204,32 +209,9 @@ def dense_layer(fan_in, fan_out, activation, rng):
     )
 
 
-@dataclass
-class _Buffers:
-    """Output arrays for one forward/backprop, per layer; None = allocate."""
-
-    h: list  # pre-activation, overwritten in place by the activation
-    mask: list
-    a: list  # post-dropout output
-    grad: list  # dL/dh, turned into dL/dz in place
-    grads: list  # (weights, biases) gradient views, or None
-
-    @classmethod
-    def fresh(cls, depth):
-        none = [None] * depth
-        return cls(none, none, none, none, none)
-
-    def first_rows(self, rows):
-        def cut(arrays):
-            return [None if x is None else x[:rows] for x in arrays]
-
-        return _Buffers(cut(self.h), cut(self.mask), cut(self.a), cut(self.grad),
-                        self.grads)
-
-
 class Workspace:
-    """Preallocated arrays for training steps of one network on batches of
-    up to `rows` rows.
+    """Preallocated C-ordered arrays for training steps of one network on
+    batches of exactly `rows` rows.
 
     `grads` holds the trainable layers' gradients in one FlatBuffer (weights
     then biases, layer by layer), laid out like the parameters a trainer
@@ -254,25 +236,18 @@ class Workspace:
             shapes += [layers[i].weights.shape, layers[i].biases.shape]
             names += [f"layer {i} weights", f"layer {i} biases"]
         self.grads = FlatBuffer(shapes, names)
-        pairs = [None] * len(layers)
+        self.pairs = [None] * len(layers)  # per layer (weights, biases) gradient views
         for k, i in enumerate(trainable):
-            pairs[i] = (self.grads.views[2 * k], self.grads.views[2 * k + 1])
+            self.pairs[i] = (self.grads.views[2 * k], self.grads.views[2 * k + 1])
         self.rows = rows
-        self._full = _Buffers(
-            h=per_layer(),
-            mask=per_layer(lambda i: i in dropped),
-            a=per_layer(lambda i: i in dropped),
-            grad=per_layer(),
-            grads=pairs,
-        )
+        self.h = per_layer()  # pre-activation, overwritten in place by the activation
+        self.mask = per_layer(lambda i: i in dropped)
+        self.a = per_layer(lambda i: i in dropped)  # post-dropout output
+        self.delta = per_layer()  # dL/dh, turned into dL/dz in place
 
-    def sized(self, rows):
-        """Buffers for a batch of `rows` rows (views of the first rows)."""
-        if rows == self.rows:
-            return self._full
-        if rows > self.rows:
-            raise NumericsError(f"batch of {rows} rows exceeds the workspace's {self.rows}")
-        return self._full.first_rows(rows)
+    def check(self, rows):
+        if rows != self.rows:
+            raise NumericsError(f"batch of {rows} rows in a workspace of {self.rows}")
 
 
 @dataclass
@@ -320,15 +295,11 @@ class MlpNetwork:
                 return spec
         return None
 
-    def _buffers(self, workspace, rows):
-        if workspace is None:
-            return _Buffers.fresh(len(self.layers))
-        return workspace.sized(rows)
-
     def forward(self, batch, mode="infer", rng=None, workspace=None):
         """Run the network; in train mode draws and records dropout masks.
 
-        With a workspace the returned tensors live in its arrays.
+        With a workspace, which must be sized for this batch, the returned
+        tensors live in its arrays.
         """
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.input_width:
@@ -338,19 +309,21 @@ class MlpNetwork:
             )
         if mode == "train" and any(s.rate > 0 for s in self.dropout) and rng is None:
             raise NumericsError("train mode with dropout requires an rng")
-        buf = self._buffers(workspace, batch.shape[0])
+        if workspace is not None:
+            workspace.check(batch.shape[0])
         inputs, post, masks = [], [], {}
         a = batch
         for i, layer in enumerate(self.layers):
             inputs.append(a)
-            z = np.matmul(a, layer.weights, out=buf.h[i])
+            z = np.matmul(a, layer.weights, out=workspace.h[i] if workspace else None)
             z += layer.biases
-            h = _ACTIVATIONS[layer.activation](z, out=buf.h[i])
+            h = _ACTIVATIONS[layer.activation](z, out=z)
             post.append(h)
             spec = self._dropout_for(i)
             if spec is not None and spec.rate > 0 and mode == "train":
-                masks[i] = dropout_mask(rng, spec.rate, h.shape, out=buf.mask[i])
-                a = np.multiply(h, masks[i], out=buf.a[i])
+                mask, out = (workspace.mask[i], workspace.a[i]) if workspace else (None, None)
+                masks[i] = dropout_mask(rng, spec.rate, h.shape, out=mask)
+                a = np.multiply(h, masks[i], out=out)
             else:
                 a = h
         return ForwardCache(inputs, post, masks, a)
@@ -373,14 +346,15 @@ class MlpNetwork:
         if self.layers[-1].activation != "sigmoid":
             raise NumericsError("backprop against labels requires a sigmoid head")
         n = scores.shape[0]
-        buf = self._buffers(workspace, n)
+        if workspace is not None:
+            workspace.check(n)
         last = len(self.layers) - 1
-        delta = np.subtract(scores, labels, out=buf.grad[last])
+        delta = np.subtract(scores, labels, out=workspace.delta[last] if workspace else None)
         delta /= n  # dL/dz of the output layer
         if last in cache.dropout_masks:
             # mask sits after the sigmoid; fold it into the fused delta
             delta *= cache.dropout_masks[last]
-        return self._backward(cache, delta, buf)
+        return self._backward(cache, delta, workspace)
 
     def backprop_from(self, cache, upstream):
         """Gradients given dL/d(final post-dropout output) instead of labels."""
@@ -392,15 +366,15 @@ class MlpNetwork:
         delta = _activation_backward(
             self.layers[last].activation, cache.post_activations[last], grad_h
         )
-        return self._backward(cache, delta, _Buffers.fresh(len(self.layers)))
+        return self._backward(cache, delta, None)
 
-    def _backward(self, cache, delta, buf):
+    def _backward(self, cache, delta, workspace):
         """Shared backward chain; `delta` is dL/dz of the last layer."""
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if layer.trainable:
-                gw, gb = buf.grads[i] or (None, None)
+                gw, gb = workspace.pairs[i] if workspace else (None, None)
                 grads[i] = (
                     np.matmul(cache.inputs[i].T, delta, out=gw),
                     np.add.reduce(delta, axis=0, out=gb),
@@ -409,13 +383,14 @@ class MlpNetwork:
                 grads[i] = (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
             if i == 0:
                 break  # nothing consumes the gradient w.r.t. the input batch
+            out = workspace.delta[i - 1] if workspace else None
             if layer.fan_out == 1:
                 # an outer product: elementwise, it skips GEMM set-up and
                 # differs at most in the sign of zeros, which no later sum
                 # or Adam update can see
-                grad_h = np.multiply(delta, layer.weights.T, out=buf.grad[i - 1])
+                grad_h = np.multiply(delta, layer.weights.T, out=out)
             else:
-                grad_h = np.matmul(delta, layer.weights.T, out=buf.grad[i - 1])
+                grad_h = np.matmul(delta, layer.weights.T, out=out)
             if (i - 1) in cache.dropout_masks:
                 grad_h *= cache.dropout_masks[i - 1]
             delta = _activation_backward(
@@ -445,9 +420,6 @@ class AdamState:
     """Adam moments for one list of parameter arrays."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
@@ -476,7 +448,7 @@ def adam_step(params, grads, state):
     state._ensure(params)
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, (p, g) in enumerate(zip(params, grads)):
         # the sum is non-finite if an element is, or on overflow; only
         # then does the elementwise test run
@@ -498,7 +470,7 @@ def adam_step(params, grads, state):
         v += tmp
         np.divide(v, 1.0 - b2**t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.epsilon
+        tmp += ADAM_EPSILON
         np.divide(m, 1.0 - b1**t, out=step)
         step *= state.learning_rate
         step /= tmp

@@ -38,6 +38,8 @@ class MadelonConfig:
     seed: int = 0
 
     def validate(self):
+        if self.n_samples < 2:
+            raise SynthError("n_samples must be >= 2")  # standardising needs a spread
         info = set(self.informative_indices)
         red = set(self.redundant_indices)
         noise = set(self.noise_indices)

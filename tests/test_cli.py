@@ -153,6 +153,19 @@ def test_benchmark_smoke_and_sections(tiny_csv, tmp_path, capsys):
     assert (out_dir / "histogram.csv").exists()
 
 
+def test_train_is_benchmark_run_zero(tiny_csv, tmp_path, capsys):
+    # run i of `benchmark --seed s` trains with seed s ^ i, so run 0 is `train --seed s`
+    flags = ["--epochs", 10, "--seed", 3]
+    run(capsys, "benchmark", tiny_csv, "--runs", 2, *flags, "--out", tmp_path / "b")
+    run(capsys, "train", tiny_csv, *flags, "--out", tmp_path / "t")
+    bench = json.loads((tmp_path / "b" / "report.json").read_text())
+    train = json.loads((tmp_path / "t" / "train_report.json").read_text())
+    assert train["test_rows"] == bench["per_run"][0]["test_rows"]
+    aucs = {name: train["models"][name]["test_auc"] for name in ("gapnet", "vanilla")}
+    aucs.update(train["models"]["gapnet"]["stage1_test_auc"])
+    assert aucs == {name: entry["aucs"][0] for name, entry in bench["models"].items()}
+
+
 def test_benchmark_cluster_order_descends(tiny_csv, tmp_path, capsys):
     out_dir = tmp_path / "bench"
     run(capsys, "benchmark", tiny_csv, "--runs", 3, "--epochs", 30, "--out", out_dir)

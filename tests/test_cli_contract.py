@@ -1,0 +1,90 @@
+"""The CLI's error contract, checked on the real process: each bad input
+exits 2 (invalid input) or 3 (failed run) and writes exactly one JSON object,
+and nothing else, to stderr."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gapnet
+
+SRC = os.path.dirname(os.path.dirname(gapnet.__file__))
+
+# 12 rows, 3 of them complete: too few for a 0.2 test fraction
+FEW_COMPLETE = "f1,f2,label\n" + "".join(
+    f"{i * 0.1},{'' if i >= 3 else i},{i % 2}\n" for i in range(12)
+)
+
+
+def gapnet_model(fusion_units=1, activation="sigmoid"):
+    """A one-feature gapnet model file with the given fusion node."""
+    body = {"weights": [[1.0]], "biases": [0.0], "activation": "relu", "trainable": False}
+    return {
+        "kind": "gapnet",
+        "bodies": [{"layers": [body], "dropout": []}],
+        "clusters": [{"name": "a", "features": [0]}],
+        "fusion": {"weights": [[1.0] * fusion_units], "biases": [0.0] * fusion_units,
+                   "activation": activation, "trainable": True},
+        "freeze_bodies": True,
+    }
+
+
+# name -> (argv with {dir} for the scratch directory, exit code, message part)
+CASES = {
+    "train, too few complete rows": (
+        ["train", "{dir}/few.csv", "--missing-token", "", "--epochs", "1",
+         "--out", "{dir}/out"], 2, "too few complete rows (3)"),
+    "benchmark, too few complete rows": (
+        ["benchmark", "{dir}/few.csv", "--missing-token", "", "--runs", "2",
+         "--epochs", "1", "--out", "{dir}/out"],
+        2, "run 0 (seed 0) failed: too few complete rows (3)"),
+    "plan cluster maps to a number": (
+        ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan",
+         "{dir}/number.plan.json"], 2, "must map to a list of feature names"),
+    "plan cluster maps to nested lists": (
+        ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan",
+         "{dir}/nested.plan.json"], 2, "must map to a list of feature names"),
+    "two-unit fusion": (
+        ["importance", "{dir}/wide.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
+    "relu fusion": (
+        ["importance", "{dir}/relu.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
+    "synth of one sample": (
+        ["synth", "--n-samples", "1", "--out", "{dir}/s.csv"], 2, "n_samples must be >= 2"),
+    "synth of no samples": (
+        ["synth", "--n-samples", "0", "--out", "{dir}/s.csv"], 2, "n_samples must be >= 2"),
+    "negative top-k": (
+        ["importance", "{dir}/ok.model.json", "{dir}/few.csv", "--missing-token", "",
+         "--top-k", "-1"], 2, "--top-k must be >= 0"),
+    "missing dataset file": (["clusters", "{dir}/nope.csv"], 3, "No such file"),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    (d / "few.csv").write_text(FEW_COMPLETE)
+    (d / "number.plan.json").write_text(json.dumps({"a": 5}))
+    (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
+    for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),
+                        ("relu", gapnet_model(activation="relu"))):
+        (d / f"{name}.model.json").write_text(json.dumps(model))
+    return d
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_bad_input_exit_code_and_one_json_error(inputs, name):
+    argv, code, message = CASES[name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gapnet.cli", *(a.format(dir=inputs) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    error = json.loads(done.stderr)  # fails on anything besides one JSON value
+    assert set(error) == {"error", "message"}
+    assert error["error"] == {2: "validation", 3: "runtime"}[code]
+    assert message in error["message"]

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapnet.clustering import (
     ClusteringError,
@@ -194,4 +198,66 @@ def test_plan_file_unknown_feature(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text('{"a": ["nope"]}', encoding="utf-8")
     with pytest.raises(ClusteringError, match="nope"):
+        load_plan(path, ["x1", "x2"])
+
+
+@given(
+    names=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=8, unique=True),
+    owners=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    cluster_names=st.lists(st.text(max_size=4), min_size=4, max_size=4, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_plan_file_round_trip_any_names(tmp_path_factory, names, owners, cluster_names, data):
+    order = data.draw(st.permutations(range(len(names))))  # features in any order
+    groups = {}
+    for j in order:
+        groups.setdefault(owners[j], []).append(j)
+    plan = ClusterPlan(
+        [FeatureCluster(cluster_names[k], g) for k, g in groups.items()], []
+    )
+    path = tmp_path_factory.mktemp("plan") / "plan.json"
+    save_plan(plan, path, names)
+    loaded = load_plan(path, names)
+    assert [(c.name, c.features) for c in loaded.clusters] == [
+        (c.name, c.features) for c in plan.clusters
+    ]
+
+
+KNOWN = ["x1", "x2", "x3"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3) | st.sampled_from(KNOWN),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _names_of(value):
+    """The feature indices a plan entry names, or None if it is malformed."""
+    if not (isinstance(value, list) and value and all(v in KNOWN for v in value)):
+        return None
+    return [KNOWN.index(v) for v in value] if len(set(value)) == len(value) else None
+
+
+@given(raw=st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3) | JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_load_plan_rejects_malformed_values(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("plan") / "plan.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    wanted = {k: _names_of(v) for k, v in raw.items()} if isinstance(raw, dict) else {}
+    if wanted and None not in wanted.values():
+        loaded = load_plan(path, KNOWN)
+        assert {c.name: c.features for c in loaded.clusters} == wanted
+    else:
+        with pytest.raises(ClusteringError):
+            load_plan(path, KNOWN)
+
+
+@pytest.mark.parametrize("value", [5, [["x1"]], "x1", {"x1": 1}, None])
+def test_plan_file_cluster_must_list_names(tmp_path, value):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"a": value}), encoding="utf-8")
+    with pytest.raises(ClusteringError, match="'a' must map to a list of feature names"):
         load_plan(path, ["x1", "x2"])

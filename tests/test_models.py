@@ -270,10 +270,11 @@ def reference_fit(net, X, y, cfg, rng):
         adam_step(params, grads, state)
 
 
-@pytest.mark.parametrize("batch_size", [None, 8])
+# 37 rows: at 8 a short last batch of 5, at 1 none, at 50 one full batch
+@pytest.mark.parametrize("batch_size", [None, 8, 1, 50])
 def test_fit_network_matches_reference_loop(batch_size):
     data = np.random.default_rng(21)
-    X = data.standard_normal((37, 5))  # 37 rows: a short last batch of 5
+    X = data.standard_normal((37, 5))
     y = (X[:, 0] + 0.5 * data.standard_normal(37) > 0).astype(float)
     cfg = fast_cfg(epochs=15, batch_size=batch_size)
     engine = build_vanilla(5, rng=np.random.default_rng(3))
@@ -359,6 +360,14 @@ def _drop(path):
     return _at(path, lambda parent, key: parent.__delitem__(key))
 
 
+def _widen_fusion(obj):
+    """A fusion layer of two output units."""
+    fusion = obj["fusion"]
+    fusion["weights"] = [row * 2 for row in fusion["weights"]]
+    fusion["biases"] = [0.0, 0.0]
+    return obj
+
+
 # name -> (model kind, corruption, expected message)
 MODEL_CORRUPTIONS = {
     "not an object": ("gapnet", lambda obj: [1], "expected a JSON object"),
@@ -383,6 +392,8 @@ MODEL_CORRUPTIONS = {
     "body wider than cluster": ("gapnet", _set(["clusters", 0, "features"], [3]),
                                 "do not match the cluster sizes"),
     "fusion of wrong width": ("gapnet", _drop(["bodies", 0]), "fusion input width"),
+    "two-unit fusion": ("gapnet", _widen_fusion, "one sigmoid unit"),
+    "relu fusion": ("gapnet", _set(["fusion", "activation"], "relu"), "one sigmoid unit"),
     "fractional feature index": ("gapnet", _set(["clusters", 1, "features"], [0, 2.5]),
                                  "not an integer"),
     "dropout rate of 1": ("mlp", _set(["network", "dropout", 0, "rate"], 1.0),

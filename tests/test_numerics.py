@@ -9,6 +9,7 @@ from gapnet.numerics import (
     DropoutSpec,
     MlpNetwork,
     NumericsError,
+    Workspace,
     adam_step,
     bce_loss,
     dense_layer,
@@ -244,3 +245,13 @@ def test_infer_forward_returns_fresh_arrays():
         assert not np.shares_memory(a, b)
     assert np.array_equal(first.outputs, kept)
 
+
+def test_workspace_takes_batches_of_its_own_size_only():
+    net = make_net([3, 6, 1], ["relu", "sigmoid"], seed=5)
+    x = np.random.default_rng(2).standard_normal((4, 3))
+    cache = net.forward(x, mode="train", workspace=Workspace(net, 4))
+    for rows in (3, 5):
+        with pytest.raises(NumericsError, match=f"batch of 4 rows in a workspace of {rows}"):
+            net.forward(x, mode="train", workspace=Workspace(net, rows))
+        with pytest.raises(NumericsError, match=f"batch of 4 rows in a workspace of {rows}"):
+            net.backprop(cache, np.ones(4), workspace=Workspace(net, rows))
