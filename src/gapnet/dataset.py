@@ -138,7 +138,15 @@ def load_csv(path, missing_token="NA", label_column="label"):
 
 
 def save_csv(ds, path, missing_token="", label_column="label"):
-    """Write a dataset back out; round-trips values, mask, and labels exactly."""
+    """Write a dataset back out. Read back with the same missing token, the
+    names, value bits, mask and labels are kept exactly; so a token that
+    reads as a number raises DatasetError."""
+    try:
+        float(missing_token)
+    except ValueError:
+        pass
+    else:
+        raise DatasetError(f"missing token {missing_token!r} would read as a number")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [label_column])

@@ -182,16 +182,45 @@ def delong_test(scores_a, scores_b, labels):
     return DelongResult(auc_a, auc_b, var, z, p)
 
 
+def column_scorer(predict_rows, X):
+    """A function `score(j, values)`: the scores `predict_rows` gives X with
+    its column j replaced by `values`.
+
+    When `predict_rows` is the bound `predict` of a model with its own
+    `column_scorer` (a `GapNetModel`), that one is used: it re-runs only
+    the part of the model that reads column j.
+    """
+    model = getattr(predict_rows, "__self__", None)
+    if hasattr(model, "column_scorer"):
+        return model.column_scorer(X)
+    Xp = X.copy()
+
+    def score(j, values):
+        Xp[:, j] = values
+        scores = np.array(predict_rows(Xp), dtype=np.float64)  # not a view of Xp
+        Xp[:, j] = X[:, j]
+        return scores
+
+    return score
+
+
 def permutation_importance(
-    predict_rows, X, labels, feature, repeats=10, rng=None, permutations=None
+    predict_rows, X, labels, feature, repeats=10, rng=None, permutations=None,
+    baseline=None, score=None,
 ):
     """Mean AUC drop when one feature column is shuffled across rows.
 
     `predict_rows` maps a (rows x features) matrix to scores. Explicit
     `permutations` override the random draws (used by exhaustive checks).
+    `baseline`, the AUC of the unpermuted X, and `score`, a `column_scorer`
+    over X, are computed here unless given; `importance_report` computes
+    them once for all features.
     """
     X = np.asarray(X, dtype=np.float64)
-    baseline = auc(predict_rows(X), labels)
+    if baseline is None:
+        baseline = auc(predict_rows(X), labels)
+    if score is None:
+        score = column_scorer(predict_rows, X)
     constant = bool(np.all(X[:, feature] == X[0, feature]))
     if permutations is None:
         if repeats < 1:
@@ -201,9 +230,8 @@ def permutation_importance(
         permutations = [rng.permutation(X.shape[0]) for _ in range(repeats)]
     drops = []
     for perm in permutations:
-        Xp = X.copy()
-        Xp[:, feature] = X[np.asarray(perm, dtype=int), feature]
-        drops.append(baseline - auc(predict_rows(Xp), labels))
+        values = X[np.asarray(perm, dtype=int), feature]
+        drops.append(baseline - auc(score(feature, values), labels))
     drops = np.asarray(drops)
     return {
         "feature": int(feature),
@@ -224,11 +252,21 @@ class ImportanceReport:
 
 
 def importance_report(predict_rows, X, labels, feature_names, repeats=10, rng=None):
-    """Permutation importance for every feature, ranked by mean AUC drop."""
+    """Permutation importance for every feature, ranked by mean AUC drop.
+
+    The unpermuted AUC and the `column_scorer` are computed once for all
+    features.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
+    X = np.asarray(X, dtype=np.float64)
+    baseline = auc(predict_rows(X), labels)
+    score = column_scorer(predict_rows, X)
     results = [
-        permutation_importance(predict_rows, X, labels, j, repeats=repeats, rng=rng)
+        permutation_importance(
+            predict_rows, X, labels, j, repeats=repeats, rng=rng,
+            baseline=baseline, score=score,
+        )
         for j in range(X.shape[1])
     ]
     mean_drop = np.array([r["mean_drop"] for r in results])

@@ -44,6 +44,10 @@ class ModelFileError(ValueError):
     """A model file that does not describe a valid model."""
 
 
+# the "format_version" that save_model writes and load_model accepts
+MODEL_FORMAT_VERSION = 1
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 2000
@@ -202,6 +206,31 @@ class GapNetModel:
         _, _, scores = self.forward(np.asarray(X, dtype=np.float64))
         return scores.reshape(-1)
 
+    def column_scorer(self, X):
+        """A function `score(j, values)`: the scores of block X with its
+        column j replaced by `values`, as `predict` gives them.
+
+        Only the body whose cluster holds column j runs again, on the same
+        F-ordered column copy `forward` gives it; the head reads the other
+        bodies' outputs on X, computed once here.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        self.check_block(X)
+        blocks = [X[:, cols] for cols in self.columns]
+        hidden = [body.forward(b).outputs for body, b in zip(self.bodies, blocks)]
+        owner = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+
+        def score(j, values):
+            k = owner[j]
+            block, local = blocks[k], j - self.columns[k][0]
+            block[:, local] = values
+            parts = list(hidden)
+            parts[k] = self.bodies[k].forward(block).outputs
+            block[:, local] = X[:, j]
+            return self.head.forward(np.hstack(parts)).outputs.reshape(-1)
+
+        return score
+
 
 def fuse(subnets, clusters, rng, freeze_bodies=True):
     """Drop each sub-network's output head and add a fresh fused output node."""
@@ -229,7 +258,7 @@ def gapnet_gradients(model, caches, concat, scores, labels):
     body parameters in layer order (only when bodies are unfrozen)."""
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     delta = (scores - labels) / labels.size
-    grads = [concat.T @ delta, delta.sum(axis=0)]
+    grads = [concat.T @ delta, np.ones(labels.size) @ delta]
     if not model.freeze_bodies:
         upstream = delta @ model.fusion.weights.T
         offset = 0
@@ -451,6 +480,7 @@ def save_model(model, path, feature_names=None, normalization=None):
     """
     if isinstance(model, GapNetModel):
         obj = {
+            "format_version": MODEL_FORMAT_VERSION,
             "kind": "gapnet",
             "bodies": [_net_to_json(b) for b in model.bodies],
             "clusters": [
@@ -460,7 +490,11 @@ def save_model(model, path, feature_names=None, normalization=None):
             "freeze_bodies": model.freeze_bodies,
         }
     else:
-        obj = {"kind": "mlp", "network": _net_to_json(model)}
+        obj = {
+            "format_version": MODEL_FORMAT_VERSION,
+            "kind": "mlp",
+            "network": _net_to_json(model),
+        }
     if feature_names is not None:
         obj["feature_names"] = list(feature_names)
     if normalization is not None:
@@ -478,6 +512,10 @@ def _model_from_json(obj):
 
     if not isinstance(obj, dict):
         raise ModelFileError("expected a JSON object")
+    # files written before the field existed are version 1
+    version = obj.get("format_version", 1)
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ModelFileError(f"unsupported format_version {version!r}")
     if obj["kind"] == "gapnet":
         model = GapNetModel(
             bodies=[_net_from_json(b) for b in obj["bodies"]],
@@ -504,7 +542,8 @@ def load_model(path):
     """Returns (model, feature_names or None, NormalizationStats or None).
 
     Raises ModelFileError, a ValueError, when the file does not describe a
-    model: a wrong kind, a missing key, a non-numeric array, layers that do
+    model: a format_version other than 1 (a missing one reads as 1), a
+    wrong kind, a missing key, a non-numeric array, layers that do
     not chain, an unknown activation, or a body that does not fit its
     cluster.
     """

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -121,11 +122,21 @@ def _activation_backward(name, h, grad_h):
 
 
 def dropout_mask(rng, rate, shape, out=None):
-    """Inverted-dropout mask: 1/keep with probability keep = 1 - rate, else 0."""
+    """Inverted-dropout mask: 1/keep for a kept unit, else 0 (keep = 1 - rate).
+
+    Unit i of the mask, in C order, is the 16-bit field i % 4 of raw word
+    i // 4 of rng's bit generator, read little-endian. The unit is kept when
+    its field is below round(keep * 2**16), so the keep probability is that
+    threshold over 2**16. An n-unit mask advances the generator by exactly
+    ceil(n / 4) words. With `out` the shape is taken from it.
+    """
     keep = 1.0 - rate
-    draw = rng.random(shape) if out is None else rng.random(out=out)
-    # 1.0 * (1/keep) and 0.0 * (1/keep) are exactly 1.0/keep and 0.0/keep
-    return np.multiply(draw < keep, 1.0 / keep, out=draw)
+    shape = shape if out is None else out.shape
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    fields = words.astype("<u8", copy=False).view("<u2")[:n].reshape(shape)
+    # True * (1/keep) and False * (1/keep) are exactly 1/keep and 0
+    return np.multiply(fields < round(keep * 2**16), 1.0 / keep, out=out)
 
 
 class FlatBuffer:
@@ -240,6 +251,7 @@ class Workspace:
         for k, i in enumerate(trainable):
             self.pairs[i] = (self.grads.views[2 * k], self.grads.views[2 * k + 1])
         self.rows = rows
+        self.ones = np.ones(rows)  # bias gradients are ones @ delta
         self.h = per_layer()  # pre-activation, overwritten in place by the activation
         self.mask = per_layer(lambda i: i in dropped)
         self.a = per_layer(lambda i: i in dropped)  # post-dropout output
@@ -371,13 +383,14 @@ class MlpNetwork:
     def _backward(self, cache, delta, workspace):
         """Shared backward chain; `delta` is dL/dz of the last layer."""
         grads = [None] * len(self.layers)
+        ones = workspace.ones if workspace else np.ones(delta.shape[0])
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if layer.trainable:
                 gw, gb = workspace.pairs[i] if workspace else (None, None)
                 grads[i] = (
                     np.matmul(cache.inputs[i].T, delta, out=gw),
-                    np.add.reduce(delta, axis=0, out=gb),
+                    np.matmul(ones, delta, out=gb),  # one GEMV
                 )
             else:
                 grads[i] = (np.zeros_like(layer.weights), np.zeros_like(layer.biases))

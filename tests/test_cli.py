@@ -236,14 +236,27 @@ def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
     src = os.path.dirname(os.path.dirname(gapnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    spans = tmp_path / "spans.json"
-    done = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
-         "gapnet", "--", "clusters", str(tiny_csv), "--missing-token", ""],
-        env=env, capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "cli.clusters" in {span[1] for span in json.loads(spans.read_text())}
+    data = [str(tiny_csv), "--missing-token", ""]
+    out = tmp_path / "out"
+    commands = [
+        ["clusters", *data],
+        ["train", *data, "--epochs", "2", "--out", str(out)],
+        ["importance", str(out / "gapnet.model.json"), *data, "--repeats", "1"],
+    ]
+    names = set()
+    for k, argv in enumerate(commands):
+        spans = tmp_path / f"spans{k}.json"
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
+             "gapnet", "--", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        names |= {span[1] for span in json.loads(spans.read_text())}
+    assert {
+        "cli.clusters", "models.fit_network", "models.fit_gapnet",
+        "numerics.adam_step", "evaluation.importance_report",
+    } <= names
 
 
 def test_importance_command(tiny_csv, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapnet.dataset import (
     DatasetError,
@@ -49,6 +51,42 @@ def test_round_trip_preserves_everything(tmp_path, paper_madelon):
     assert np.array_equal(again.labels, paper_madelon.labels)
     mask = paper_madelon.present
     assert np.array_equal(again.values[mask], paper_madelon.values[mask])
+
+
+# names with commas, quotes and line breaks, which the CSV writer must quote
+CSV_NAMES = st.text(alphabet=' ab,"\'\n\r', max_size=5).filter(lambda s: s != "label")
+CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.225e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False),  # subnormals and infinities included
+)
+
+
+@given(data=st.data(), token=st.sampled_from(["", "NA", "?", "missing"]))
+@settings(max_examples=60, deadline=None)
+def test_csv_round_trip(tmp_path_factory, data, token):
+    n, f = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    names = data.draw(st.lists(CSV_NAMES, min_size=f, max_size=f, unique=True))
+    cells = st.lists(CSV_VALUES, min_size=n * f, max_size=n * f)
+    values = np.array(data.draw(cells)).reshape(n, f)
+    present = np.array(data.draw(st.lists(st.booleans(), min_size=n * f, max_size=n * f)))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    ds = make_dataset(values, present.reshape(n, f), labels, names)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(ds, path, missing_token=token)
+    again = load_csv(path, missing_token=token)
+    assert again.feature_names == names
+    assert np.array_equal(again.present, ds.present)
+    assert np.array_equal(again.labels, ds.labels)
+    assert np.isnan(again.values[~ds.present]).all()
+    kept = ds.values[ds.present]
+    assert np.array_equal(again.values[ds.present].view(np.int64), kept.view(np.int64))
+
+
+@pytest.mark.parametrize("token", ["1.0", "-0", "nan", "inf", " 2 ", "1e3", "1_0"])
+def test_save_csv_rejects_a_numeric_missing_token(tmp_path, token):
+    ds = make_dataset([[1.0, 2.0]], present=[[True, False]], labels=[1])
+    with pytest.raises(DatasetError, match="would read as a number"):
+        save_csv(ds, tmp_path / "data.csv", missing_token=token)
 
 
 def test_load_csv_errors(tmp_path):

@@ -29,7 +29,7 @@ from gapnet.models import (
     _train_rows_for,
 )
 from gapnet.numerics import AdamState, MlpNetwork, adam_step, sigmoid
-from gapnet.evaluation import auc
+from gapnet.evaluation import auc, importance_report
 from conftest import make_dataset
 
 
@@ -190,6 +190,27 @@ def test_gapnet_score_composes_from_bodies(paper_madelon, make_plan):
     concat = np.hstack(parts)
     manual = sigmoid(concat @ model.fusion.weights + model.fusion.biases).reshape(-1)
     assert scores == pytest.approx(manual, abs=1e-15)
+
+
+def test_gapnet_importance_rescoring_matches_full_passes():
+    rng = np.random.default_rng(4)
+    clusters = [FeatureCluster("b", [3, 1]), FeatureCluster("a", [0, 4, 2])]
+    model = fuse([build_subnet(c, rng=rng) for c in clusters], clusters, rng)
+    X = rng.standard_normal((40, model.input_width))
+    labels = np.arange(40) % 2
+    score = model.column_scorer(X)
+    for j in range(X.shape[1]):
+        values = X[rng.permutation(40), j]
+        Xp = X.copy()
+        Xp[:, j] = values
+        assert np.array_equal(score(j, values), model.predict(Xp))
+    # a lambda hides the model, so every permutation takes a full pass
+    reports = [
+        importance_report(f, X, labels, list("abcde"), repeats=3, rng=np.random.default_rng(0))
+        for f in (model.predict, lambda rows: model.predict(rows))
+    ]
+    for field in ("mean_drop", "std_drop", "ranks"):
+        assert np.array_equal(getattr(reports[0], field), getattr(reports[1], field))
 
 
 def test_predict_rejects_missing_features(paper_madelon):
@@ -371,6 +392,9 @@ def _widen_fusion(obj):
 # name -> (model kind, corruption, expected message)
 MODEL_CORRUPTIONS = {
     "not an object": ("gapnet", lambda obj: [1], "expected a JSON object"),
+    "format version 2": ("mlp", _set(["format_version"], 2), "unsupported format_version 2"),
+    "boolean format version": ("gapnet", _set(["format_version"], True),
+                               "unsupported format_version True"),
     "kind only": ("gapnet", lambda obj: {"kind": "gapnet"}, "missing key 'bodies'"),
     "wrong kind": ("gapnet", _set(["kind"], "forest"), "unknown model kind 'forest'"),
     "missing fusion": ("gapnet", _drop(["fusion"]), "missing key 'fusion'"),
@@ -417,9 +441,10 @@ def test_load_model_rejects_corrupt_files(tmp_path, name):
     seed=st.integers(0, 2**32 - 1),
     special=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
     freeze=st.booleans(),
+    versioned=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze):
+def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze, versioned):
     rng = np.random.default_rng(seed)
     order = rng.permutation(sum(sizes)).tolist()  # clusters in any index order
     ends = np.cumsum(sizes).tolist()
@@ -433,6 +458,11 @@ def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze):
     weights[: len(special)] = special[: weights.size]  # any finite float64
     path = tmp_path_factory.mktemp("model") / "m.json"
     save_model(model, path)
+    obj = json.loads(path.read_text())
+    assert obj["format_version"] == 1
+    if not versioned:  # as written before the field existed
+        del obj["format_version"]
+        path.write_text(json.dumps(obj))
     loaded, names, stats = load_model(path)
     assert (names, stats, loaded.freeze_bodies) == (None, None, freeze)
     assert loaded.feature_indices == model.feature_indices

@@ -13,6 +13,7 @@ from gapnet.numerics import (
     adam_step,
     bce_loss,
     dense_layer,
+    dropout_mask,
     finite_diff_grad,
     glorot_init,
     relu,
@@ -203,14 +204,54 @@ def test_inverted_dropout_preserves_expectation():
         [DenseLayer(np.eye(4), np.zeros(4), "identity")],
         [DropoutSpec(0.5, placement=0)],
     )
-    x = np.full((1, 4), 3.0)
-    rng = np.random.default_rng(1)
-    total = np.zeros(4)
-    n_masks = 10_000
-    for _ in range(n_masks):
-        total += net.forward(x, mode="train", rng=rng).outputs[0]
-    infer = net.forward(x, mode="infer").outputs[0]
-    assert np.all(np.abs(total / n_masks - infer) / infer < 0.02)
+    x = np.full((250_000, 4), 3.0)
+    out = net.forward(x, mode="train", rng=np.random.default_rng(1)).outputs
+    infer = net.forward(x[:1], mode="infer").outputs[0]
+    # a unit reads 0 or 6, mean 3 and sd 3: five standard errors of a
+    # column mean, 5 * 3 / sqrt(250,000), are 1% of the mean
+    assert np.all(np.abs(out.mean(axis=0) - infer) / infer < 0.01)
+
+
+MASK_UNITS = (1000, 1000)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.2, 0.3])
+def test_dropout_keeps_its_share(rate):
+    mask = dropout_mask(np.random.default_rng(3), rate, MASK_UNITS)
+    keep = round((1 - rate) * 2**16) / 2**16
+    n = mask.size
+    assert abs(np.count_nonzero(mask) / n - keep) < 5 * math.sqrt(keep * (1 - keep) / n)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.3])
+def test_dropout_mask_values_are_zero_or_the_scale(rate):
+    mask = dropout_mask(np.random.default_rng(4), rate, MASK_UNITS)
+    assert mask.dtype == np.float64
+    assert set(np.unique(mask).tolist()) == {0.0, 1.0 / (1.0 - rate)}
+
+
+def test_dropout_mask_is_fixed_by_the_generator_state():
+    masks = [dropout_mask(np.random.default_rng(5), 0.3, MASK_UNITS) for _ in range(2)]
+    assert np.array_equal(*masks)
+    assert not np.array_equal(masks[0], dropout_mask(np.random.default_rng(6), 0.3, MASK_UNITS))
+
+
+def test_dropout_mask_into_out_equals_fresh_mask():
+    fresh = dropout_mask(np.random.default_rng(7), 0.3, MASK_UNITS)
+    out = np.full(MASK_UNITS, np.nan)
+    into = dropout_mask(np.random.default_rng(7), 0.3, None, out=out)
+    assert into is out
+    assert np.array_equal(fresh, out)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_dropout_mask_takes_one_raw_word_per_four_units(extra):
+    n = 10**6 + extra
+    drawn = np.random.default_rng(8)
+    dropout_mask(drawn, 0.5, (n,))
+    skipped = np.random.default_rng(8)
+    skipped.bit_generator.random_raw(-(-n // 4))
+    assert drawn.bit_generator.state == skipped.bit_generator.state
 
 
 def test_dropout_rate_must_be_below_one():
