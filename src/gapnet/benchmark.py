@@ -3,7 +3,6 @@ models on fresh splits, then aggregate ROC/AUC statistics across runs."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +90,10 @@ def run_benchmark(ds, plan=None, cfg=None):
         plan = signature_clusters(ds)
     tasks = [(ds, plan, cfg, i) for i in range(cfg.runs)]
     if cfg.jobs > 1:
+        # imported only here: its import takes longer than the rest of this
+        # module's, and every gapnet process would pay it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_worker, tasks))
     else:

@@ -47,6 +47,11 @@ class ModelFileError(ValueError):
 # the "format_version" that save_model writes and load_model accepts
 MODEL_FORMAT_VERSION = 1
 
+# elements of one activation array of a training step's row tile (rows x the
+# widest layer; 256 KiB of float64), so that a step's arrays stay in the CPU
+# cache. Fits of more rows than a tile get other output bits when it changes.
+TILE_ELEMENTS = 32768
+
 
 @dataclass
 class TrainConfig:
@@ -127,8 +132,22 @@ def _epochs(n, cfg, rng, step):
         raise TrainingError(f"training diverged: {exc}") from exc
 
 
+def tile_rows(net):
+    """Rows per tile of a training step: the largest multiple of 4 (at least
+    4) whose activations of the widest layer hold at most TILE_ELEMENTS."""
+    widest = max(l.fan_out for l in net.layers)
+    return max(4, TILE_ELEMENTS // widest // 4 * 4)
+
+
 def fit_network(net, X, y, cfg, rng):
-    """Train in place with Adam on mean BCE; full batch unless batch_size set."""
+    """Train in place with Adam on mean BCE; full batch unless batch_size set.
+
+    A batch longer than `tile_rows(net)` runs forward and backprop tile by
+    tile, and the tiles' gradients are summed before its one Adam step. With
+    a multiple of 4 rows per tile, each tile's dropout mask continues the
+    generator's words where the last tile's stopped, so one dropout layer
+    draws the masks of one pass over the whole batch.
+    """
     # one C-ordered copy at most: a GEMM's bits depend on its operands' layout
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -136,17 +155,30 @@ def fit_network(net, X, y, cfg, rng):
     if n == 0:
         raise TrainingError("empty training set")
     params = _pack([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable])
-    # one workspace per batch length: the full batches and a short last one
     size = min(n, cfg.batch_size or n)
-    workspaces = {rows: Workspace(net, rows) for rows in {size, n % size} if rows}
+    tile = tile_rows(net)
+    # one workspace per tile length: a batch runs as whole tiles, then a
+    # short last one (the full batches, and the short last batch if any)
+    lengths = set()
+    for rows in {size, n % size} - {0}:
+        lengths |= {min(rows, tile), rows % tile} - {0}
+    workspaces = {rows: Workspace(net, rows) for rows in lengths}
+    total = FlatBuffer([v.shape for v in params.views], params.names) if size > tile else None
     state = AdamState(learning_rate=cfg.learning_rate)
 
     def step(rows):
         Xb, yb = (X, y) if rows is None else (X[rows], y[rows])
-        workspace = workspaces[len(yb)]
-        cache = net.forward(Xb, mode="train", rng=rng, workspace=workspace)
-        net.backprop(cache, yb, workspace=workspace)
-        adam_step(params, workspace.grads, state)
+        m = len(yb)
+        for start in range(0, m, tile):
+            workspace = workspaces[min(tile, m - start)]
+            end = start + workspace.rows
+            cache = net.forward(Xb[start:end], mode="train", rng=rng, workspace=workspace)
+            net.backprop(cache, yb[start:end], workspace=workspace, mean_over=m)
+            if start:
+                total.data += workspace.grads.data
+            elif m > tile:
+                np.copyto(total.data, workspace.grads.data)
+        adam_step(params, total if m > tile else workspace.grads, state)
 
     _epochs(n, cfg, rng, step)
     return net
@@ -502,9 +534,9 @@ def save_model(model, path, feature_names=None, normalization=None):
             "mean": normalization.mean.tolist(),
             "std": normalization.std.tolist(),
         }
+    # json.dumps runs the C encoder; json.dump(obj, fh) the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _model_from_json(obj):

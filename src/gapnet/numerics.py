@@ -344,12 +344,14 @@ class MlpNetwork:
         """Scores of an inference pass, one per row of X."""
         return self.forward(X, mode="infer").outputs.reshape(-1)
 
-    def backprop(self, cache, labels, workspace=None):
+    def backprop(self, cache, labels, workspace=None, mean_over=None):
         """Gradients of mean BCE loss w.r.t. all parameters.
 
         Requires a sigmoid output head; uses the fused sigmoid+BCE delta.
         Non-trainable layers get zero gradient slots. With a workspace the
         trainable layers' gradients are written into `workspace.grads`.
+        The mean is taken over `mean_over` rows (default: this batch's), so
+        the gradients of a batch's row tiles sum to the batch's gradients.
         """
         labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
         scores = cache.outputs
@@ -362,7 +364,7 @@ class MlpNetwork:
             workspace.check(n)
         last = len(self.layers) - 1
         delta = np.subtract(scores, labels, out=workspace.delta[last] if workspace else None)
-        delta /= n  # dL/dz of the output layer
+        delta /= n if mean_over is None else mean_over  # dL/dz of the output layer
         if last in cache.dropout_masks:
             # mask sits after the sigmoid; fold it into the fused delta
             delta *= cache.dropout_masks[last]

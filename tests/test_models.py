@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapnet import models
 from gapnet.clustering import ClusterPlan, FeatureCluster, signature_clusters
 from gapnet.dataset import split
 from gapnet.models import (
@@ -22,6 +23,7 @@ from gapnet.models import (
     predict,
     predict_subnet,
     save_model,
+    tile_rows,
     train_gapnet,
     train_stage1,
     train_stage2,
@@ -291,14 +293,22 @@ def reference_fit(net, X, y, cfg, rng):
         adam_step(params, grads, state)
 
 
-# 37 rows: at 8 a short last batch of 5, at 1 none, at 50 one full batch
-@pytest.mark.parametrize("batch_size", [None, 8, 1, 50])
-def test_fit_network_matches_reference_loop(batch_size):
+# 37 rows: at 8 a short last batch of 5, at 1 none, at 50 one full batch;
+# at 36 with a 36-row tile (widest layer 10) a batch of exactly one tile
+@pytest.mark.parametrize(
+    "batch_size,tile_elements",
+    [(None, None), (8, None), (1, None), (50, None), (36, 360)],
+    ids=["None", "8", "1", "50", "36-one-tile"],
+)
+def test_fit_network_matches_reference_loop(batch_size, tile_elements, monkeypatch):
+    if tile_elements is not None:
+        monkeypatch.setattr(models, "TILE_ELEMENTS", tile_elements)
     data = np.random.default_rng(21)
     X = data.standard_normal((37, 5))
     y = (X[:, 0] + 0.5 * data.standard_normal(37) > 0).astype(float)
     cfg = fast_cfg(epochs=15, batch_size=batch_size)
     engine = build_vanilla(5, rng=np.random.default_rng(3))
+    assert min(37, batch_size or 37) <= tile_rows(engine)
     reference = build_vanilla(5, rng=np.random.default_rng(3))
     rng_engine, rng_reference = np.random.default_rng(8), np.random.default_rng(8)
     fit_network(engine, X, y, cfg, rng_engine)
@@ -307,6 +317,75 @@ def test_fit_network_matches_reference_loop(batch_size):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
     assert rng_engine.random() == rng_reference.random()
+
+
+def fit_gradients(monkeypatch, X, y, tile_elements, batch_size=None):
+    """The gradient vector of every Adam step of a one-epoch fit, and the
+    next number the fit's generator gives, under a tile budget."""
+    monkeypatch.setattr(models, "TILE_ELEMENTS", tile_elements)
+    seen = []
+
+    def spy(params, grads, state):
+        seen.append(grads.data.copy())
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(models, "adam_step", spy)
+    net = build_vanilla(X.shape[1], rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    fit_network(net, X, y, fast_cfg(epochs=1, batch_size=batch_size), rng)
+    return seen, rng.random(), tile_rows(net)
+
+
+def test_tiled_masks_equal_the_full_batch_draw():
+    net = build_vanilla(12, rng=np.random.default_rng(0))  # 12 -> 24 -> 24 -> 1
+    X = np.random.default_rng(1).standard_normal((9800, 12))
+    tile = tile_rows(net)
+    assert tile == 1364  # 32,768 // 24 rounded down to a multiple of 4
+    full = net.forward(X, mode="train", rng=np.random.default_rng(2)).dropout_masks[1]
+    rng = np.random.default_rng(2)
+    tiles = [
+        net.forward(X[i : i + tile], mode="train", rng=rng).dropout_masks[1]
+        for i in range(0, len(X), tile)
+    ]
+    assert len(tiles) == 8
+    assert np.array_equal(np.vstack(tiles), full)
+
+
+# 9800 rows: 7 tiles of 1364 and one of 252; 37 rows in batches of 30 and 7
+# with 24-row tiles (250 // 10 rounded down to a multiple of 4): tiles of 24
+# and 6, then one of 7
+@pytest.mark.parametrize(
+    "rows,features,batch_size,tiled_elements", [(9800, 12, None, 32768), (37, 5, 30, 250)]
+)
+def test_tiled_step_matches_the_one_tile_step(monkeypatch, rows, features, batch_size,
+                                              tiled_elements):
+    data = np.random.default_rng(21)
+    X = data.standard_normal((rows, features))
+    y = (X[:, 0] + 0.5 * data.standard_normal(rows) > 0).astype(float)
+    whole, after_whole, tile = fit_gradients(monkeypatch, X, y, 10**9, batch_size)
+    assert tile >= rows
+    tiled, after_tiled, tile = fit_gradients(monkeypatch, X, y, tiled_elements, batch_size)
+    assert tile < min(rows, batch_size or rows)
+    assert after_tiled == after_whole  # the same masks drawn from the same words
+    assert len(tiled) == len(whole)  # one Adam step per batch
+    assert not np.array_equal(tiled[0], whole[0])  # summed in another order
+    for a, b in zip(whole, tiled):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_paper_madelon_fits_take_one_tile(paper_madelon):
+    """Criterion 1 and the madelon-serial benchmark keep their bits only while
+    every fit on the paper's dataset takes one tile per step."""
+    plan = signature_clusters(paper_madelon)
+    fits = [(build_vanilla(paper_madelon.n_features), paper_madelon.complete_rows().size)]
+    fits += [
+        (build_subnet(c), paper_madelon.complete_rows_for(c.features).size)
+        for c in plan.clusters
+    ]
+    shapes = [(rows, max(l.fan_out for l in net.layers)) for net, rows in fits]
+    assert shapes == [(100, 80), (550, 50), (550, 30)]
+    for net, rows in fits:
+        assert rows <= tile_rows(net)
 
 
 @pytest.mark.parametrize("batch_size", [None, 32])
