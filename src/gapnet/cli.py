@@ -82,9 +82,18 @@ def _out_dir(arg):
 
 
 def _load_dataset(args):
-    return ds_mod.load_csv(
+    ds = ds_mod.load_csv(
         args.dataset, missing_token=args.missing_token, label_column=args.label_column
     )
+    bad = ds.present & ~np.isfinite(ds.values)
+    if bad.any():
+        # load_csv numbers data records from line 2, after the header
+        row, col = np.argwhere(bad)[0]
+        raise DatasetError(
+            f"{args.dataset}:{row + 2}: non-finite value {float(ds.values[row, col])!r} "
+            f"in column {ds.feature_names[col]!r}"
+        )
+    return ds
 
 
 def _resolve_plan(args, ds):
@@ -262,14 +271,14 @@ def cmd_benchmark(args):
         "dataset": str(args.dataset),
         "dataset_sha256": _sha256(args.dataset),
         "plan_file": args.plan,
+        "plan_sha256": _sha256(args.plan) if args.plan else None,
         "benchmark": vars(cfg).copy(),
         "version": __version__,
     }
-    # jobs only controls parallelism, never the results; keep it out of the
-    # hash so identical configs hash identically regardless of worker count
-    hashed = dict(config_snapshot, benchmark={
-        k: v for k, v in config_snapshot["benchmark"].items() if k != "jobs"
-    })
+    # inputs hashed by content, not path, and jobs (parallelism only) left out:
+    # one run hashes alike from any directory and with any worker count
+    hashed = {k: v for k, v in config_snapshot.items() if k not in ("dataset", "plan_file")}
+    hashed["benchmark"] = {k: v for k, v in vars(cfg).items() if k != "jobs"}
     report["config_hash"] = _config_hash(hashed)
     report["version"] = __version__
     manifest = {

@@ -161,9 +161,3 @@ def save_plan(plan, path, feature_names):
         json.dump(raw, fh, indent=2)
         fh.write("\n")
 
-
-def attach_counts(plan, ds):
-    plan.complete_counts = [
-        int(ds.complete_rows_for(c.features).size) for c in plan.clusters
-    ]
-    return plan

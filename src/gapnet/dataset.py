@@ -7,6 +7,7 @@ surface immediately, but all code must consult ``present`` first.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,23 +141,28 @@ def load_csv(path, missing_token="NA", label_column="label"):
 def save_csv(ds, path, missing_token="", label_column="label"):
     """Write a dataset back out. Read back with the same missing token, the
     names, value bits, mask and labels are kept exactly; so a token that
-    reads as a number raises DatasetError."""
+    reads as a number, or that load_csv's strip would change, raises
+    DatasetError. The bytes are csv.writer's (excel dialect): a float repr
+    never needs quoting, so only the header and the token go through it."""
     try:
         float(missing_token)
     except ValueError:
         pass
     else:
         raise DatasetError(f"missing token {missing_token!r} would read as a number")
+    if missing_token.strip() not in ("", missing_token):
+        raise DatasetError(f"missing token {missing_token!r} has surrounding whitespace")
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow([missing_token, ""])
+    token = quoted.getvalue()[: -len(",\r\n")]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
-        for i in range(ds.n_samples):
-            row = [
-                repr(float(ds.values[i, j])) if ds.present[i, j] else missing_token
-                for j in range(ds.n_features)
+        csv.writer(fh).writerow(list(ds.feature_names) + [label_column])
+        for values, present, label in zip(ds.values, ds.present, ds.labels):
+            cells = [
+                repr(v) if p else token
+                for v, p in zip(values.tolist(), present.tolist())
             ]
-            row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+            fh.write(",".join(cells) + f",{int(label)}\r\n")
 
 
 def split(ds, test_fraction, rng, stratified=True):
@@ -225,12 +231,3 @@ def normalize(ds, stats):
         labels=ds.labels.copy(),
     )
 
-
-def denormalize(ds, stats):
-    values = np.where(ds.present, ds.values * stats.std + stats.mean, np.nan)
-    return GappedDataset(
-        feature_names=list(ds.feature_names),
-        values=values,
-        present=ds.present.copy(),
-        labels=ds.labels.copy(),
-    )

@@ -58,6 +58,17 @@ def test_synth_same_seed_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_paper_madelon_golden_bytes(tmp_path, capsys):
+    # every recorded paper-Madelon output hash starts from this file
+    import hashlib
+
+    out_csv = tmp_path / "m.csv"
+    run(capsys, "synth", "--paper-madelon", "--seed", 1, "--out", out_csv)
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "790f599f05292598844e7224eff50510238b9ffafbad6e4af22facaf403fc438"
+    )
+
+
 def test_synth_invalid_config_exit_code(tmp_path, capsys):
     code, _, err = run(
         capsys, "synth", "--out", tmp_path / "x.csv", "--class-separation", "-1"
@@ -151,6 +162,24 @@ def test_benchmark_smoke_and_sections(tiny_csv, tmp_path, capsys):
     assert manifest["per_run_seeds"] == [0, 1]
     assert (out_dir / "roc.csv").exists()
     assert (out_dir / "histogram.csv").exists()
+
+
+def test_report_bytes_do_not_depend_on_input_paths(tiny_csv, tmp_path, capsys):
+    plan = {"a": ["f1", "f2"], "b": ["f3", "f4"]}
+    reports = []
+    for where in ("one", "two/deeper"):
+        d = tmp_path / where
+        d.mkdir(parents=True)
+        (d / "copy.csv").write_bytes(tiny_csv.read_bytes())
+        (d / "plan.json").write_text(json.dumps(plan))
+        code, _, _ = run(capsys, "benchmark", d / "copy.csv", "--plan", d / "plan.json",
+                         "--runs", 2, "--epochs", 3, "--out", d / "out")
+        assert code == 0
+        manifest = json.loads((d / "out" / "manifest.json").read_text())
+        assert manifest["dataset"] == str(d / "copy.csv")
+        assert manifest["plan_file"] == str(d / "plan.json")
+        reports.append((d / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_train_is_benchmark_run_zero(tiny_csv, tmp_path, capsys):

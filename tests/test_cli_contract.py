@@ -19,6 +19,13 @@ FEW_COMPLETE = "f1,f2,label\n" + "".join(
 )
 
 
+def one_bad_cell(cell):
+    """12 complete rows; line 5 (the fourth record) holds `cell` in column f2."""
+    return "f1,f2,label\n" + "".join(
+        f"{i * 0.1},{cell if i == 3 else i},{i % 2}\n" for i in range(12)
+    )
+
+
 def gapnet_model(fusion_units=1, activation="sigmoid"):
     """A one-feature gapnet model file with the given fusion node."""
     body = {"weights": [[1.0]], "biases": [0.0], "activation": "relu", "trainable": False}
@@ -59,6 +66,12 @@ CASES = {
         ["importance", "{dir}/ok.model.json", "{dir}/few.csv", "--missing-token", "",
          "--top-k", "-1"], 2, "--top-k must be >= 0"),
     "missing dataset file": (["clusters", "{dir}/nope.csv"], 3, "No such file"),
+    "nan cell": (
+        ["train", "{dir}/nan.csv", "--epochs", "1", "--out", "{dir}/out"],
+        2, "nan.csv:5: non-finite value nan in column 'f2'"),
+    "inf cell": (
+        ["benchmark", "{dir}/inf.csv", "--runs", "2", "--epochs", "1", "--out", "{dir}/out"],
+        2, "inf.csv:5: non-finite value inf in column 'f2'"),
 }
 
 
@@ -66,6 +79,8 @@ CASES = {
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
     (d / "few.csv").write_text(FEW_COMPLETE)
+    (d / "nan.csv").write_text(one_bad_cell("nan"))
+    (d / "inf.csv").write_text(one_bad_cell("inf"))
     (d / "number.plan.json").write_text(json.dumps({"a": 5}))
     (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),

@@ -9,7 +9,6 @@ from gapnet.clustering import (
     ClusteringError,
     FeatureCluster,
     ClusterPlan,
-    attach_counts,
     load_plan,
     merge_clusters,
     save_plan,
@@ -189,9 +188,9 @@ def test_plan_file_round_trip(tmp_path, paper_madelon):
     path = tmp_path / "plan.json"
     save_plan(plan, path, paper_madelon.feature_names)
     loaded = load_plan(path, paper_madelon.feature_names)
-    attach_counts(loaded, paper_madelon)
+    counts = validate_plan(loaded, paper_madelon).counts
     assert [c.features for c in loaded.clusters] == [c.features for c in plan.clusters]
-    assert loaded.complete_counts == plan.complete_counts
+    assert [counts[c.name] for c in loaded.clusters] == plan.complete_counts
 
 
 def test_plan_file_unknown_feature(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from gapnet.dataset import (
     DatasetError,
     compute_stats,
-    denormalize,
     load_csv,
     normalize,
     save_csv,
@@ -61,16 +62,49 @@ CSV_VALUES = st.one_of(
 )
 
 
-@given(data=st.data(), token=st.sampled_from(["", "NA", "?", "missing"]))
-@settings(max_examples=60, deadline=None)
-def test_csv_round_trip(tmp_path_factory, data, token):
+# tokens that csv.writer leaves bare, quotes, or that load_csv strips to ""
+CSV_TOKENS = ["", "NA", "?", "missing", ",", '"', "a\nb", " ", "\r", "\t", 'x,y"z']
+
+
+def draw_dataset(data):
     n, f = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     names = data.draw(st.lists(CSV_NAMES, min_size=f, max_size=f, unique=True))
     cells = st.lists(CSV_VALUES, min_size=n * f, max_size=n * f)
     values = np.array(data.draw(cells)).reshape(n, f)
     present = np.array(data.draw(st.lists(st.booleans(), min_size=n * f, max_size=n * f)))
     labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    ds = make_dataset(values, present.reshape(n, f), labels, names)
+    return make_dataset(values, present.reshape(n, f), labels, names)
+
+
+def reference_save_csv(ds, path, missing_token="", label_column="label"):
+    """save_csv as first written: every row through csv.writer, cell by cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.feature_names) + [label_column])
+        for i in range(ds.n_samples):
+            row = [
+                repr(float(ds.values[i, j])) if ds.present[i, j] else missing_token
+                for j in range(ds.n_features)
+            ]
+            row.append(str(int(ds.labels[i])))
+            writer.writerow(row)
+
+
+@given(data=st.data(), token=st.sampled_from(CSV_TOKENS), label_column=CSV_NAMES)
+@settings(max_examples=80, deadline=None)
+def test_save_csv_writes_the_csv_writer_bytes(tmp_path_factory, data, token, label_column):
+    ds = draw_dataset(data)
+    d = tmp_path_factory.mktemp("bytes")
+    save_csv(ds, d / "new.csv", missing_token=token, label_column=label_column)
+    reference_save_csv(ds, d / "ref.csv", missing_token=token, label_column=label_column)
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+@given(data=st.data(), token=st.sampled_from(CSV_TOKENS))
+@settings(max_examples=60, deadline=None)
+def test_csv_round_trip(tmp_path_factory, data, token):
+    ds = draw_dataset(data)
+    names = ds.feature_names
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     save_csv(ds, path, missing_token=token)
     again = load_csv(path, missing_token=token)
@@ -86,6 +120,14 @@ def test_csv_round_trip(tmp_path_factory, data, token):
 def test_save_csv_rejects_a_numeric_missing_token(tmp_path, token):
     ds = make_dataset([[1.0, 2.0]], present=[[True, False]], labels=[1])
     with pytest.raises(DatasetError, match="would read as a number"):
+        save_csv(ds, tmp_path / "data.csv", missing_token=token)
+
+
+@pytest.mark.parametrize("token", [" x ", "x ", " NA", "\tx"])
+def test_save_csv_rejects_a_token_that_strip_would_change(tmp_path, token):
+    # load_csv strips every cell, so such a token could not be read back
+    ds = make_dataset([[1.0, 2.0]], present=[[True, False]], labels=[1])
+    with pytest.raises(DatasetError, match="surrounding whitespace"):
         save_csv(ds, tmp_path / "data.csv", missing_token=token)
 
 
@@ -190,10 +232,11 @@ def test_normalize_leaves_standardized_feature_alone():
 
 def test_normalize_round_trip(paper_madelon):
     stats = compute_stats(paper_madelon, paper_madelon.complete_rows())
-    back = denormalize(normalize(paper_madelon, stats), stats)
+    out = normalize(paper_madelon, stats)
     mask = paper_madelon.present
-    assert back.values[mask] == pytest.approx(paper_madelon.values[mask], abs=1e-12)
-    assert np.array_equal(back.present, paper_madelon.present)
+    expected = (paper_madelon.values - stats.mean) / stats.std
+    assert np.array_equal(out.values[mask], expected[mask])
+    assert np.array_equal(out.present, paper_madelon.present)
 
 
 def test_normalize_keeps_missing_missing(paper_madelon):
