@@ -94,7 +94,8 @@ def run_benchmark(ds, plan=None, cfg=None):
         # module's, and every gapnet process would pay it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool starts all its workers at once, so no more than there are runs
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.runs)) as pool:
             results = list(pool.map(_worker, tasks))
     else:
         results = [_worker(t) for t in tasks]

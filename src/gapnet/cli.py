@@ -217,13 +217,17 @@ def cmd_train(args):
         stats = ds_mod.compute_stats(ds, split.train_rows)
         work = ds_mod.normalize(ds, stats)
     out = _out_dir(args.out)
+    # inputs by content and no output path, as in report.json's config_hash:
+    # one run gives the same report from any directory
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "dataset", "plan", "out")}
+    config["dataset_sha256"] = _sha256(args.dataset)
+    config["plan_sha256"] = _sha256(args.plan) if args.plan else None
     report = {
-        "config": vars(args).copy(),
+        "config": config,
         "version": __version__,
         "test_rows": split.test_rows.tolist(),
         "models": {},
     }
-    report["config"].pop("func", None)
     test = split.test_rows
     labels = ds.labels[test]
     if args.model in ("vanilla", "both"):
@@ -231,7 +235,7 @@ def cmd_train(args):
         path = out / "vanilla.model.json"
         save_model(net, path, feature_names=ds.feature_names, normalization=stats)
         report["models"]["vanilla"] = {
-            "path": str(path),
+            "path": path.name,
             "test_auc": auc(predict(net, work, test), labels),
         }
     if args.model in ("gapnet", "both"):
@@ -243,7 +247,7 @@ def cmd_train(args):
             for net, c in zip(subnets, plan.clusters)
         }
         report["models"]["gapnet"] = {
-            "path": str(path),
+            "path": path.name,
             "test_auc": auc(predict(model, work, test), labels),
             "stage1_test_auc": stage1,
         }

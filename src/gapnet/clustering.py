@@ -136,14 +136,29 @@ def validate_plan(plan, ds):
 
 
 def load_plan(path, feature_names):
-    """Read a plan file: JSON object mapping cluster name -> feature name list."""
+    """Read a plan file: JSON object mapping cluster name -> feature name list.
+
+    A cluster name may appear once, and may not be `vanilla` or `gapnet`,
+    the names of the benchmark's two other models.
+    """
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ClusteringError(f"{path}: name {key!r} appears twice")
+            obj[key] = value
+        return obj
+
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(raw, dict) or not raw:
         raise ClusteringError(f"{path}: expected a non-empty cluster mapping")
     name_to_idx = {n: i for i, n in enumerate(feature_names)}
     clusters = []
     for name, feats in raw.items():
+        if name in ("vanilla", "gapnet"):  # the benchmark's other two models
+            raise ClusteringError(f"{path}: cluster name {name!r} is reserved for a model")
         if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
             raise ClusteringError(f"{path}: {name!r} must map to a list of feature names")
         indices = []

@@ -304,59 +304,19 @@ def gapnet_gradients(model, caches, concat, scores, labels):
     return grads
 
 
-class _FrozenBodies:
-    """Full-batch stage-II forward pass over frozen bodies whose only dropout
-    follows their last layer.
-
-    Such a body's output before that dropout never changes, so it is computed
-    once, from the same columns of X that `GapNetModel.forward` takes.
-    Each call then draws only the dropout masks, in the order a full pass
-    draws them, and applies the head. Minibatches get no cache: the
-    cached rows of a batch can differ by an ulp from a GEMM over those rows.
-    """
-
-    def __init__(self, model, X, rng):
-        self.head = model.head
-        self.rng = rng
-        self.hidden = [
-            body.forward(X[:, cols]).outputs
-            for body, cols in zip(model.bodies, model.columns)
-        ]
-        self.rates = []
-        for body in model.bodies:
-            spec = body._dropout_for(len(body.layers) - 1)
-            self.rates.append(spec.rate if spec is not None else 0.0)
-        self.masks = [
-            np.empty_like(h) if rate > 0 else None
-            for h, rate in zip(self.hidden, self.rates)
-        ]
-        self.concat = np.empty((X.shape[0], sum(h.shape[1] for h in self.hidden)))
-
-    @staticmethod
-    def applies(model):
-        return model.freeze_bodies and all(
-            s.rate == 0 or s.placement == len(body.layers) - 1
-            for body in model.bodies
-            for s in body.dropout
-        )
-
-    def forward(self):
-        offset = 0
-        for h, rate, mask in zip(self.hidden, self.rates, self.masks):
-            block = self.concat[:, offset : offset + h.shape[1]]
-            if mask is None:
-                block[...] = h
-            else:
-                np.multiply(h, dropout_mask(self.rng, rate, None, out=mask), out=block)
-            offset += h.shape[1]
-        return None, self.concat, self.head.forward(self.concat).outputs
-
-
 def fit_gapnet(model, X, y, cfg, rng):
     """Stage-II training: Adam on the fusion node (and bodies when unfrozen).
 
     Body dropout stays active in train mode; the fusion node sees the
     post-dropout body outputs.
+
+    A full batch over frozen bodies whose only dropout follows their last
+    layer caches each body's output before that dropout: it never changes,
+    so `model.forward` computes it once, from the columns of X it always
+    gives the body. Each step then draws only the masks, in body order as a
+    full pass draws them, and applies the head to the C-ordered concat.
+    Minibatches get no cache: the cached rows of a batch can differ by an
+    ulp from a GEMM over those rows.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -376,11 +336,23 @@ def fit_gapnet(model, X, y, cfg, rng):
     grads = FlatBuffer([v.shape for v in params.views], params.names)
     state = AdamState(learning_rate=cfg.learning_rate)
     full_batch = cfg.batch_size is None or cfg.batch_size >= n
-    frozen = _FrozenBodies(model, X, rng) if full_batch and _FrozenBodies.applies(model) else None
+    cached = full_batch and model.freeze_bodies and all(
+        s.rate == 0 or s.placement == len(body.layers) - 1
+        for body in model.bodies
+        for s in body.dropout
+    )
+    if cached:
+        hidden = [cache.outputs for cache in model.forward(X)[0]]
+        specs = [body._dropout_for(len(body.layers) - 1) for body in model.bodies]
+        rates = [spec.rate if spec is not None else 0.0 for spec in specs]
 
     def step(rows):
-        if frozen is not None:
-            caches, concat, scores = frozen.forward()
+        if cached:
+            concat = np.hstack([
+                h * dropout_mask(rng, rate, h.shape) if rate > 0 else h
+                for h, rate in zip(hidden, rates)
+            ])
+            caches, scores = None, model.head.forward(concat).outputs
         else:
             Xb = X if rows is None else X[rows]
             caches, concat, scores = model.forward(Xb, mode="train", rng=rng)
@@ -399,25 +371,28 @@ def _train_rows_for(ds, split, feature_indices):
     return rows[~excluded]
 
 
+def _fit_on_rows_for(ds, split, cfg, features, key, empty_message):
+    """A baseline-shaped network over `features`, trained on the rows
+    complete for them minus test rows, from the stream of cfg.seed that
+    `SeedSequence(cfg.seed).spawn(...)[key]` gives."""
+    rows = _train_rows_for(ds, split, features)
+    if rows.size == 0:
+        raise TrainingError(empty_message)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
+    net = build_vanilla(len(features), cfg.hidden_multiplier, cfg.dropout_rate, rng=rng)
+    fit_network(net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng)
+    return net
+
+
 def train_stage1(ds, plan, split, cfg):
     """Train one sub-network per cluster on its complete rows minus test rows."""
-    subnets = []
-    base = np.random.SeedSequence(cfg.seed)
-    seeds = base.spawn(len(plan.clusters))
-    for cluster, seq in zip(plan.clusters, seeds):
-        rows = _train_rows_for(ds, split, cluster.features)
-        if rows.size == 0:
-            raise TrainingError(
-                f"cluster {cluster.name!r} has no training rows after test exclusion"
-            )
-        rng = np.random.default_rng(seq)
-        net = build_subnet(
-            cluster, cfg.hidden_multiplier, cfg.dropout_rate, rng=rng
+    return [
+        _fit_on_rows_for(
+            ds, split, cfg, cluster.features, k,
+            f"cluster {cluster.name!r} has no training rows after test exclusion",
         )
-        X = ds.dense_block(rows, cluster.features)
-        fit_network(net, X, ds.labels[rows], cfg, rng)
-        subnets.append(net)
-    return subnets
+        for k, cluster in enumerate(plan.clusters)
+    ]
 
 
 def train_stage2(model, ds, split, cfg):
@@ -441,16 +416,10 @@ def train_gapnet(ds, plan, split, cfg):
 
 def train_vanilla(ds, split, cfg):
     """Baseline: train on the fully complete rows minus test rows."""
-    rows = _train_rows_for(ds, split, range(ds.n_features))
-    if rows.size == 0:
-        raise TrainingError("no complete training rows for the baseline")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    net = build_vanilla(
-        ds.n_features, cfg.hidden_multiplier, cfg.dropout_rate, rng=rng
+    # key 0 is also the first cluster's stream
+    return _fit_on_rows_for(
+        ds, split, cfg, range(ds.n_features), 0, "no complete training rows for the baseline"
     )
-    X = ds.dense_block(rows, range(ds.n_features))
-    fit_network(net, X, ds.labels[rows], cfg, rng)
-    return net
 
 
 def input_features(model):
@@ -482,12 +451,15 @@ def _layer_to_json(layer):
 
 
 def _layer_from_json(obj):
-    return DenseLayer(
+    layer = DenseLayer(
         weights=np.array(obj["weights"], dtype=np.float64),
         biases=np.array(obj["biases"], dtype=np.float64),
         activation=obj["activation"],
         trainable=obj["trainable"],
     )
+    if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
+        raise ModelFileError("a layer holds a non-finite weight or bias")
+    return layer
 
 
 def _net_to_json(net):
@@ -561,13 +533,23 @@ def _model_from_json(obj):
         model = _net_from_json(obj["network"])
     else:
         raise ModelFileError(f"unknown model kind {obj['kind']!r}")
-    stats = None
+    names, stats = obj.get("feature_names"), None
     if "normalization" in obj:
         stats = NormalizationStats(
             mean=np.array(obj["normalization"]["mean"], dtype=np.float64),
             std=np.array(obj["normalization"]["std"], dtype=np.float64),
         )
-    return model, obj.get("feature_names"), stats
+        width = stats.mean.shape
+        if len(width) != 1 or stats.std.shape != width:
+            raise ModelFileError("normalization mean and std are not two lists of one length")
+        if names is not None and width != (len(names),):
+            raise ModelFileError(
+                f"normalization of {width[0]} features for {len(names)} feature names"
+            )
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+                and (stats.std > 0).all()):
+            raise ModelFileError("normalization needs finite means and finite stds > 0")
+    return model, names, stats
 
 
 def load_model(path):
@@ -575,9 +557,10 @@ def load_model(path):
 
     Raises ModelFileError, a ValueError, when the file does not describe a
     model: a format_version other than 1 (a missing one reads as 1), a
-    wrong kind, a missing key, a non-numeric array, layers that do
-    not chain, an unknown activation, or a body that does not fit its
-    cluster.
+    wrong kind, a missing key, a non-numeric array, a non-finite weight or
+    bias, layers that do not chain, an unknown activation, a body that does
+    not fit its cluster, or a normalization whose mean and std are not
+    finite lists of one length per feature name with every std > 0.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)

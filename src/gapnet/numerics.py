@@ -91,17 +91,9 @@ def sigmoid(z, out=None):
     return np.divide(num, e, out=out)
 
 
-def _identity(z, out=None):
-    if out is None:
-        return z
-    np.copyto(out, z)
-    return out
-
-
 _ACTIVATIONS = {
     "relu": relu,
     "sigmoid": sigmoid,
-    "identity": _identity,
 }
 
 
@@ -116,7 +108,7 @@ def _activation_backward(name, h, grad_h):
         slope = np.subtract(1.0, h)
         slope *= h
         grad_h *= slope
-    elif name != "identity":
+    else:
         raise NumericsError(f"unknown activation {name!r}")
     return grad_h
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -182,6 +183,27 @@ def test_report_bytes_do_not_depend_on_input_paths(tiny_csv, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def test_train_report_bytes_do_not_depend_on_paths(tiny_csv, tmp_path, capsys):
+    plan = {"a": ["f1", "f2"], "b": ["f3", "f4"]}
+    reports = []
+    for where in ("one", "two/deeper"):
+        d = tmp_path / where
+        d.mkdir(parents=True)
+        (d / "copy.csv").write_bytes(tiny_csv.read_bytes())
+        (d / "plan.json").write_text(json.dumps(plan))
+        code, out, _ = run(capsys, "train", d / "copy.csv", "--plan", d / "plan.json",
+                           "--epochs", 3, "--out", d / "out")
+        assert code == 0
+        assert json.loads(out)["report"] == str(d / "out" / "train_report.json")
+        reports.append((d / "out" / "train_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["config"]["dataset_sha256"] == hashlib.sha256(tiny_csv.read_bytes()).hexdigest()
+    assert {"dataset", "plan", "out"}.isdisjoint(report["config"])
+    assert {name: m["path"] for name, m in report["models"].items()} == {
+        "vanilla": "vanilla.model.json", "gapnet": "gapnet.model.json"}
+
+
 def test_train_is_benchmark_run_zero(tiny_csv, tmp_path, capsys):
     # run i of `benchmark --seed s` trains with seed s ^ i, so run 0 is `train --seed s`
     flags = ["--epochs", 10, "--seed", 3]
@@ -243,6 +265,36 @@ def test_benchmark_config_keys():
     }
 
 
+@pytest.mark.parametrize("runs,jobs,workers", [(2, 4, 2), (3, 2, 2)])
+def test_pool_has_at_most_one_worker_per_run(tiny_csv, monkeypatch, runs, jobs, workers):
+    import concurrent.futures
+
+    from gapnet.benchmark import BenchmarkConfig, run_benchmark
+
+    sizes = []
+
+    class SerialPool:
+        """Records its size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    # the pool starts all its workers at once, whether they get a run or not
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    ds = load_csv(tiny_csv, missing_token="")
+    run_benchmark(ds, cfg=BenchmarkConfig(runs=runs, jobs=jobs, epochs=1))
+    assert sizes == [workers]
+
+
 @pytest.mark.parametrize("model", [[1], {"kind": "gapnet"}, {"kind": "forest"}])
 def test_importance_rejects_invalid_model_file(tiny_csv, tmp_path, capsys, model):
     path = tmp_path / "bad.model.json"
@@ -271,6 +323,7 @@ def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
         ["clusters", *data],
         ["train", *data, "--epochs", "2", "--out", str(out)],
         ["importance", str(out / "gapnet.model.json"), *data, "--repeats", "1"],
+        ["benchmark", *data, "--runs", "2", "--epochs", "2", "--out", str(tmp_path / "b")],
     ]
     names = set()
     for k, argv in enumerate(commands):
@@ -281,11 +334,17 @@ def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
-        names |= {span[1] for span in json.loads(spans.read_text())}
+        trace = json.loads(spans.read_text())
+        names |= {span[1] for span in trace}
     assert {
         "cli.clusters", "models.fit_network", "models.fit_gapnet",
         "numerics.adam_step", "evaluation.importance_report",
     } <= names
+    # the benchmark finds stage-I fits by their parent span, and counts the
+    # rows of every fit once: 2 runs of a baseline and 2 sub-networks
+    name_of = {span[0]: span[1] for span in trace}
+    parents = [name_of[span[4]] for span in trace if span[1] == "models.fit_network"]
+    assert sorted(parents) == ["models.train_stage1"] * 4 + ["models.train_vanilla"] * 2
 
 
 def test_importance_command(tiny_csv, tmp_path, capsys):

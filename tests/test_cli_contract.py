@@ -26,14 +26,14 @@ def one_bad_cell(cell):
     )
 
 
-def gapnet_model(fusion_units=1, activation="sigmoid"):
+def gapnet_model(fusion_units=1, activation="sigmoid", weight=1.0):
     """A one-feature gapnet model file with the given fusion node."""
     body = {"weights": [[1.0]], "biases": [0.0], "activation": "relu", "trainable": False}
     return {
         "kind": "gapnet",
         "bodies": [{"layers": [body], "dropout": []}],
         "clusters": [{"name": "a", "features": [0]}],
-        "fusion": {"weights": [[1.0] * fusion_units], "biases": [0.0] * fusion_units,
+        "fusion": {"weights": [[weight] * fusion_units], "biases": [0.0] * fusion_units,
                    "activation": activation, "trainable": True},
         "freeze_bodies": True,
     }
@@ -58,6 +58,8 @@ CASES = {
         ["importance", "{dir}/wide.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
     "relu fusion": (
         ["importance", "{dir}/relu.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
+    "nan fusion weight": (
+        ["importance", "{dir}/nan.model.json", "{dir}/few.csv"], 2, "non-finite weight or bias"),
     "synth of one sample": (
         ["synth", "--n-samples", "1", "--out", "{dir}/s.csv"], 2, "n_samples must be >= 2"),
     "synth of no samples": (
@@ -84,7 +86,8 @@ def inputs(tmp_path_factory):
     (d / "number.plan.json").write_text(json.dumps({"a": 5}))
     (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),
-                        ("relu", gapnet_model(activation="relu"))):
+                        ("relu", gapnet_model(activation="relu")),
+                        ("nan", gapnet_model(weight=float("nan")))):
         (d / f"{name}.model.json").write_text(json.dumps(model))
     return d
 

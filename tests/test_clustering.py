@@ -260,3 +260,20 @@ def test_plan_file_cluster_must_list_names(tmp_path, value):
     path.write_text(json.dumps({"a": value}), encoding="utf-8")
     with pytest.raises(ClusteringError, match="'a' must map to a list of feature names"):
         load_plan(path, ["x1", "x2"])
+
+
+def test_plan_file_rejects_a_repeated_cluster_name(tmp_path):
+    # json.load would keep only the last "a", and drop x1 and x2 unseen
+    path = tmp_path / "plan.json"
+    path.write_text('{"a": ["x1", "x2"], "a": ["x3"], "b": ["x4"]}', encoding="utf-8")
+    with pytest.raises(ClusteringError, match="name 'a' appears twice"):
+        load_plan(path, ["x1", "x2", "x3", "x4"])
+
+
+@pytest.mark.parametrize("name", ["vanilla", "gapnet"])
+def test_plan_file_rejects_a_model_name(tmp_path, name):
+    # the benchmark reports each cluster's model under its name
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"a": ["x1"], name: ["x2"]}), encoding="utf-8")
+    with pytest.raises(ClusteringError, match=f"cluster name '{name}' is reserved"):
+        load_plan(path, ["x1", "x2"])

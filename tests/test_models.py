@@ -388,6 +388,21 @@ def test_paper_madelon_fits_take_one_tile(paper_madelon):
         assert rows <= tile_rows(net)
 
 
+def reference_fit_gapnet(model, X, y, cfg, rng):
+    """The plain stage-II loop: a train-mode pass over every body each step."""
+    params = [model.fusion.weights, model.fusion.biases]
+    state = AdamState(learning_rate=cfg.learning_rate)
+    for idx in reference_batches(len(X), cfg, rng):
+        caches, concat, scores = model.forward(X[idx], mode="train", rng=rng)
+        adam_step(params, gapnet_gradients(model, caches, concat, scores, y[idx]), state)
+
+
+def assert_same_stage2(engine, reference, rng_engine, rng_reference):
+    assert np.array_equal(engine.fusion.weights, reference.fusion.weights)
+    assert np.array_equal(engine.fusion.biases, reference.fusion.biases)
+    assert rng_engine.random() == rng_reference.random()
+
+
 @pytest.mark.parametrize("batch_size", [None, 32])
 def test_frozen_stage2_matches_reference_loop(paper_madelon, batch_size):
     s = split(paper_madelon, 0.2, np.random.default_rng(0))
@@ -401,14 +416,72 @@ def test_frozen_stage2_matches_reference_loop(paper_madelon, batch_size):
     y = paper_madelon.labels[rows].astype(float)
     rng_engine, rng_reference = np.random.default_rng(5), np.random.default_rng(5)
     fit_gapnet(engine, X, y, cfg, rng_engine)
-    params = [reference.fusion.weights, reference.fusion.biases]
-    state = AdamState(learning_rate=cfg.learning_rate)
-    for idx in reference_batches(rows.size, cfg, rng_reference):
-        caches, concat, scores = reference.forward(X[idx], mode="train", rng=rng_reference)
-        adam_step(params, gapnet_gradients(reference, caches, concat, scores, y[idx]), state)
-    assert np.array_equal(engine.fusion.weights, reference.fusion.weights)
-    assert np.array_equal(engine.fusion.biases, reference.fusion.biases)
-    assert rng_engine.random() == rng_reference.random()
+    reference_fit_gapnet(reference, X, y, cfg, rng_reference)
+    assert_same_stage2(engine, reference, rng_engine, rng_reference)
+
+
+def random_fused_pair(seed, freeze_bodies=True):
+    """Two copies of one fused model over 2-4 clusters of 1-5 features, with
+    bodies of dropout rates 0 and 0.5, one masked body of odd width, and an
+    odd number of rows of its input block and labels."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, size=int(rng.integers(2, 5)))
+    rates = [0.5 * ((seed + k) % 2) for k in range(len(sizes))]
+    sizes[rates.index(0.5)] |= 1  # a masked body of odd width
+    ends = np.cumsum(sizes)
+    clusters = [
+        FeatureCluster(f"c{k}", list(range(end - size, end)))
+        for k, (size, end) in enumerate(zip(sizes, ends))
+    ]
+    subnets = [
+        build_subnet(c, hidden_multiplier=1 + 2 * (k % 2), dropout_rate=rate, rng=rng)
+        for k, (c, rate) in enumerate(zip(clusters, rates))
+    ]
+    models = [
+        fuse(subnets, clusters, np.random.default_rng(seed), freeze_bodies=freeze_bodies)
+        for _ in range(2)
+    ]
+    rows = 2 * int(rng.integers(5, 30)) + 1
+    X = rng.standard_normal((rows, int(ends[-1])))
+    y = (X.sum(axis=1) + rng.standard_normal(rows) > 0).astype(float)
+    return models, X, y
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_stage2_matches_reference_loop_at_any_shape(seed):
+    (engine, reference), X, y = random_fused_pair(seed)
+    rates = {s.rate for b in engine.bodies for s in b.dropout} | {
+        0.0 for b in engine.bodies if not b.dropout}
+    assert rates == {0.0, 0.5}
+    # a mask of this many units ends inside a raw word of the generator
+    assert any(len(X) * b.output_width % 4 for b in engine.bodies if b.dropout)
+    cfg = fast_cfg(epochs=7)
+    rng_engine, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    fit_gapnet(engine, X, y, cfg, rng_engine)
+    reference_fit_gapnet(reference, X, y, cfg, rng_reference)
+    assert_same_stage2(engine, reference, rng_engine, rng_reference)
+
+
+# 3 epochs of 21 rows: one cached pass, or a pass per step of one or two batches
+@pytest.mark.parametrize(
+    "batch_size,freeze,modes",
+    [(None, True, ["infer"]), (None, False, ["train"] * 3), (13, True, ["train"] * 6)],
+    ids=["full-frozen", "full-unfrozen", "minibatch-frozen"],
+)
+def test_stage2_runs_cached_bodies_once(monkeypatch, batch_size, freeze, modes):
+    (model, _), X, y = random_fused_pair(1, freeze_bodies=freeze)
+    X, y = X[:21], y[:21]
+    seen = {id(body): [] for body in model.bodies}
+    forward = MlpNetwork.forward
+
+    def spy(self, batch, mode="infer", rng=None, workspace=None):
+        seen.get(id(self), []).append(mode)
+        return forward(self, batch, mode, rng, workspace)
+
+    monkeypatch.setattr(MlpNetwork, "forward", spy)
+    fit_gapnet(model, X, y, fast_cfg(epochs=3, batch_size=batch_size),
+               np.random.default_rng(0))
+    assert list(seen.values()) == [modes] * len(model.bodies)
 
 
 def test_divergence_names_the_parameter(monkeypatch):
@@ -468,6 +541,15 @@ def _widen_fusion(obj):
     return obj
 
 
+def _stats(mean, std):
+    return {"mean": mean, "std": std}
+
+
+def _named(names, normalization):
+    """A file that lists feature names and a normalization."""
+    return lambda obj: {**obj, "feature_names": names, "normalization": normalization}
+
+
 # name -> (model kind, corruption, expected message)
 MODEL_CORRUPTIONS = {
     "not an object": ("gapnet", lambda obj: [1], "expected a JSON object"),
@@ -503,6 +585,24 @@ MODEL_CORRUPTIONS = {
                           "dropout rate"),
     "non-numeric normalization": ("mlp", _set(["normalization"], {"mean": ["a"], "std": [1]}),
                                   "could not convert"),
+    "nan fusion weight": ("gapnet", _set(["fusion", "weights", 0, 0], float("nan")),
+                          "non-finite weight or bias"),
+    "infinite bias": ("mlp", _set(["network", "layers", 1, "biases", 0], -float("inf")),
+                      "non-finite weight or bias"),
+    "std shorter than mean": ("mlp", _set(["normalization"], _stats([0.0] * 4, [1.0] * 3)),
+                              "not two lists of one length"),
+    "nested normalization": ("mlp", _set(["normalization"], _stats([[0.0]], [[1.0]])),
+                             "not two lists of one length"),
+    "normalization wider than the names": (
+        "gapnet", _named(["f1", "f2", "f3"], _stats([0.0] * 4, [1.0] * 4)),
+        "normalization of 4 features for 3 feature names"),
+    "std of 0": ("gapnet", _named(["f1", "f2"], _stats([0.0] * 2, [1.0, 0.0])),
+                 "finite stds > 0"),
+    "negative std": ("mlp", _set(["normalization"], _stats([0.0], [-1.0])), "finite stds > 0"),
+    "nan std": ("mlp", _set(["normalization"], _stats([0.0], [float("nan")])),
+                "finite stds > 0"),
+    "infinite mean": ("mlp", _set(["normalization"], _stats([float("inf")], [1.0])),
+                      "finite means"),
 }
 
 

@@ -41,12 +41,6 @@ def test_relu_definition():
     assert relu(np.array([2.5]))[0] == 2.5
 
 
-def test_identity_layer_passes_input_through():
-    net = MlpNetwork([DenseLayer(np.eye(3), np.zeros(3), "identity")])
-    x = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(net.forward(x).outputs, x)
-
-
 def test_forward_rejects_width_mismatch():
     net = make_net([4, 3, 1], ["relu", "sigmoid"])
     with pytest.raises(NumericsError, match="width"):
@@ -201,7 +195,7 @@ def test_glorot_rejects_degenerate_fans():
 
 def test_inverted_dropout_preserves_expectation():
     net = MlpNetwork(
-        [DenseLayer(np.eye(4), np.zeros(4), "identity")],
+        [DenseLayer(np.eye(4), np.zeros(4), "relu")],  # the identity on positive input
         [DropoutSpec(0.5, placement=0)],
     )
     x = np.full((250_000, 4), 3.0)
