@@ -27,34 +27,37 @@ class BenchmarkError(RuntimeError):
 
 @dataclass
 class BenchmarkConfig(TrainConfig):
-    """Training settings plus the resampling ones; run i trains with seed
-    `seed ^ i`."""
+    """Training settings plus the number of resamples and of worker processes."""
 
     runs: int = 100
-    test_fraction: float = 0.2
-    normalize: bool = True
-    stratified: bool = True
     jobs: int = 1
 
     def _rules(self):
         return super()._rules() + [
             (self.runs >= 2, "need at least 2 runs"),
-            (0.0 < self.test_fraction < 1.0, "test_fraction must be in (0, 1)"),
             (self.jobs >= 1, "jobs must be >= 1"),
         ]
 
 
+def run_seed(cfg, run_index):
+    """The seed that run `run_index` trains with."""
+    return cfg.seed ^ run_index
+
+
+def prepare_run(ds, cfg, run_index):
+    """Run i's split, normalization stats (None when off), the data the models
+    train on, and cfg with the run's seed. `gapnet train --seed s` is run 0."""
+    seed = run_seed(cfg, run_index)
+    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
+    split = ds_mod.split(ds, cfg.test_fraction, split_rng, stratified=cfg.stratified)
+    stats = ds_mod.compute_stats(ds, split.train_rows) if cfg.normalize else None
+    work = ds_mod.normalize(ds, stats) if cfg.normalize else ds
+    return split, stats, work, replace(cfg, seed=seed)
+
+
 def run_single(ds, plan, cfg, run_index):
     """One resampled split: train every model, score the shared test rows."""
-    run_seed = cfg.seed ^ run_index
-    split_rng = np.random.default_rng(np.random.SeedSequence([run_seed, 17]))
-    split = ds_mod.split(ds, cfg.test_fraction, split_rng, stratified=cfg.stratified)
-    if cfg.normalize:
-        stats = ds_mod.compute_stats(ds, split.train_rows)
-        work = ds_mod.normalize(ds, stats)
-    else:
-        work = ds
-    tcfg = replace(cfg, seed=run_seed)
+    split, _, work, tcfg = prepare_run(ds, cfg, run_index)
     vanilla = train_vanilla(work, split, tcfg)
     gap_model, subnets = train_gapnet(work, plan, split, tcfg)
     test = split.test_rows
@@ -66,7 +69,7 @@ def run_single(ds, plan, cfg, run_index):
         scores[cluster.name] = predict_subnet(net, cluster, work, test).tolist()
     return {
         "run": run_index,
-        "seed": run_seed,
+        "seed": tcfg.seed,
         "test_rows": test.tolist(),
         "labels": ds.labels[test].tolist(),
         "scores": scores,
@@ -80,7 +83,7 @@ def _worker(args):
     except Exception as exc:
         # an input error stays a ValueError, so the CLI reports it as one
         kind = ValueError if isinstance(exc, ValueError) else BenchmarkError
-        raise kind(f"run {run_index} (seed {cfg.seed ^ run_index}) failed: {exc}") from exc
+        raise kind(f"run {run_index} (seed {run_seed(cfg, run_index)}) failed: {exc}") from exc
 
 
 def run_benchmark(ds, plan=None, cfg=None):

@@ -19,11 +19,12 @@ import numpy as np
 
 from . import __version__
 from . import dataset as ds_mod
-from .benchmark import BenchmarkConfig, run_benchmark
+from .benchmark import BenchmarkConfig, prepare_run, run_benchmark, run_seed
 from .clustering import ClusteringError, load_plan, signature_clusters, validate_plan
 from .dataset import DatasetError
 from .evaluation import auc, importance_report
 from .models import (
+    GapNetModel,
     TrainConfig,
     input_features,
     load_model,
@@ -56,9 +57,12 @@ def _jsonable(obj):
 
 
 def _write_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Writes obj with sorted keys, indent 1 and a trailing newline, when path
+    is given; returns the text without the newline."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
+    if path:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    return text
 
 
 def _sha256(path):
@@ -183,10 +187,7 @@ def cmd_clusters(args):
         "empty_support": report.empty_support,
         "valid": report.valid,
     }
-    text = json.dumps(_jsonable(out), sort_keys=True, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(_write_json(out, args.out))
     if args.plan and not report.valid:
         _fail("validation", "supplied plan is invalid for this dataset")
         return 2
@@ -202,6 +203,9 @@ def _train_config(args):
         hidden_multiplier=args.hidden_multiplier,
         seed=args.seed,
         freeze_bodies=not args.unfreeze_bodies,
+        test_fraction=args.test_fraction,
+        normalize=not args.no_normalize,
+        stratified=not args.no_stratify,
     )
 
 
@@ -209,13 +213,7 @@ def cmd_train(args):
     cfg = _train_config(args)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 17]))
-    split = ds_mod.split(ds, args.test_fraction, rng, stratified=not args.no_stratify)
-    stats = None
-    work = ds
-    if not args.no_normalize:
-        stats = ds_mod.compute_stats(ds, split.train_rows)
-        work = ds_mod.normalize(ds, stats)
+    split, stats, work, cfg = prepare_run(ds, cfg, 0)
     out = _out_dir(args.out)
     # inputs by content and no output path, as in report.json's config_hash:
     # one run gives the same report from any directory
@@ -258,14 +256,7 @@ def cmd_train(args):
 
 
 def cmd_benchmark(args):
-    cfg = BenchmarkConfig(
-        **vars(_train_config(args)),
-        runs=args.runs,
-        test_fraction=args.test_fraction,
-        normalize=not args.no_normalize,
-        stratified=not args.no_stratify,
-        jobs=args.jobs,
-    )
+    cfg = BenchmarkConfig(**vars(_train_config(args)), runs=args.runs, jobs=args.jobs)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
     report = run_benchmark(ds, plan, cfg)
@@ -287,7 +278,7 @@ def cmd_benchmark(args):
     report["version"] = __version__
     manifest = {
         **config_snapshot,
-        "per_run_seeds": [cfg.seed ^ i for i in range(cfg.runs)],
+        "per_run_seeds": [run_seed(cfg, i) for i in range(cfg.runs)],
         "artifacts": {
             "report": str(out / "report.json"),
             "roc_csv": str(out / "roc.csv"),
@@ -331,6 +322,11 @@ def cmd_importance(args):
     ds = _load_dataset(args)
     if feature_names is not None and feature_names != ds.feature_names:
         raise DatasetError("model feature names do not match the dataset header")
+    n = ds.n_features
+    if not isinstance(model, GapNetModel) and model.input_width != n:
+        raise DatasetError(f"model reads {model.input_width} features, the dataset has {n}")
+    if stats is not None and stats.mean.size != n:
+        raise DatasetError(f"model normalizes {stats.mean.size} features, the dataset has {n}")
     work = ds_mod.normalize(ds, stats) if stats is not None else ds
     feats = input_features(model)
     rows = work.complete_rows_for(feats)
@@ -363,10 +359,7 @@ def cmd_importance(args):
         ],
         "top": [report.feature_names[i] for i in order[: args.top_k]],
     }
-    text = json.dumps(_jsonable(out), sort_keys=True, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(_write_json(out, args.out))
     return 0
 
 

@@ -76,8 +76,9 @@ def merge_clusters(plan, ds, min_support):
     """
     if min_support < 1:
         raise ClusteringError("min_support must be >= 1")
+    # counted here, since a loaded plan carries no counts
     too_small = [
-        c.name for c, n in zip(plan.clusters, plan.complete_counts) if n < min_support
+        c.name for c in plan.clusters if ds.complete_rows_for(c.features).size < min_support
     ]
     if too_small:
         raise ClusteringError(

@@ -62,6 +62,9 @@ class TrainConfig:
     hidden_multiplier: int = 2
     seed: int = 0
     freeze_bodies: bool = True
+    test_fraction: float = 0.2
+    normalize: bool = True
+    stratified: bool = True
 
     def __post_init__(self):
         for ok, message in self._rules():
@@ -76,6 +79,7 @@ class TrainConfig:
             (0.0 <= self.dropout_rate < 1.0, "dropout_rate must be in [0, 1)"),
             (self.hidden_multiplier >= 1, "hidden_multiplier must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),  # as SeedSequence requires
+            (0.0 < self.test_fraction < 1.0, "test_fraction must be in (0, 1)"),
         ]
 
 
@@ -371,14 +375,19 @@ def _train_rows_for(ds, split, feature_indices):
     return rows[~excluded]
 
 
+def _stream(cfg, key):
+    """Model stream `key` of cfg.seed, as `SeedSequence(cfg.seed).spawn(...)[key]`: cluster k
+    uses k, the baseline 0 (as cluster 0 does), stage II 999, the fusion node 1000."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
+
+
 def _fit_on_rows_for(ds, split, cfg, features, key, empty_message):
     """A baseline-shaped network over `features`, trained on the rows
-    complete for them minus test rows, from the stream of cfg.seed that
-    `SeedSequence(cfg.seed).spawn(...)[key]` gives."""
+    complete for them minus test rows, from model stream `key`."""
     rows = _train_rows_for(ds, split, features)
     if rows.size == 0:
         raise TrainingError(empty_message)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
+    rng = _stream(cfg, key)
     net = build_vanilla(len(features), cfg.hidden_multiplier, cfg.dropout_rate, rng=rng)
     fit_network(net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng)
     return net
@@ -400,23 +409,20 @@ def train_stage2(model, ds, split, cfg):
     rows = _train_rows_for(ds, split, model.feature_indices)
     if rows.size == 0:
         raise TrainingError("no complete training rows for stage II")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(999,)))
     X = ds.dense_block(rows, model.feature_indices)
-    return fit_gapnet(model, X, ds.labels[rows], cfg, rng)
+    return fit_gapnet(model, X, ds.labels[rows], cfg, _stream(cfg, 999))
 
 
 def train_gapnet(ds, plan, split, cfg):
     """Both stages: sub-networks, fuse, then fusion training."""
     subnets = train_stage1(ds, plan, split, cfg)
-    fuse_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1000,)))
-    model = fuse(subnets, plan.clusters, fuse_rng, freeze_bodies=cfg.freeze_bodies)
+    model = fuse(subnets, plan.clusters, _stream(cfg, 1000), freeze_bodies=cfg.freeze_bodies)
     train_stage2(model, ds, split, cfg)
     return model, subnets
 
 
 def train_vanilla(ds, split, cfg):
     """Baseline: train on the fully complete rows minus test rows."""
-    # key 0 is also the first cluster's stream
     return _fit_on_rows_for(
         ds, split, cfg, range(ds.n_features), 0, "no complete training rows for the baseline"
     )

@@ -204,9 +204,13 @@ def test_train_report_bytes_do_not_depend_on_paths(tiny_csv, tmp_path, capsys):
         "vanilla": "vanilla.model.json", "gapnet": "gapnet.model.json"}
 
 
-def test_train_is_benchmark_run_zero(tiny_csv, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "setup", [[], ["--no-normalize", "--no-stratify", "--test-fraction", 0.3]],
+    ids=["defaults", "no-normalize-no-stratify-0.3"],
+)
+def test_train_is_benchmark_run_zero(tiny_csv, tmp_path, capsys, setup):
     # run i of `benchmark --seed s` trains with seed s ^ i, so run 0 is `train --seed s`
-    flags = ["--epochs", 10, "--seed", 3]
+    flags = ["--epochs", 10, "--seed", 3, *setup]
     run(capsys, "benchmark", tiny_csv, "--runs", 2, *flags, "--out", tmp_path / "b")
     run(capsys, "train", tiny_csv, *flags, "--out", tmp_path / "t")
     bench = json.loads((tmp_path / "b" / "report.json").read_text())

@@ -39,6 +39,17 @@ def gapnet_model(fusion_units=1, activation="sigmoid", weight=1.0):
     }
 
 
+def baseline_model(inputs, normalization_width=None):
+    """A one-layer baseline model file with no feature names."""
+    layer = {"weights": [[1.0]] * inputs, "biases": [0.0], "activation": "sigmoid",
+             "trainable": True}
+    model = {"kind": "mlp", "network": {"layers": [layer], "dropout": []}}
+    if normalization_width is not None:
+        model["normalization"] = {"mean": [0.0] * normalization_width,
+                                  "std": [1.0] * normalization_width}
+    return model
+
+
 # name -> (argv with {dir} for the scratch directory, exit code, message part)
 CASES = {
     "train, too few complete rows": (
@@ -60,6 +71,15 @@ CASES = {
         ["importance", "{dir}/relu.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
     "nan fusion weight": (
         ["importance", "{dir}/nan.model.json", "{dir}/few.csv"], 2, "non-finite weight or bias"),
+    "baseline narrower than the dataset": (
+        ["importance", "{dir}/narrow.model.json", "{dir}/few.csv", "--missing-token", ""],
+        2, "model reads 1 features, the dataset has 2"),
+    "normalization narrower than the dataset": (
+        ["importance", "{dir}/narrow-stats.model.json", "{dir}/few.csv", "--missing-token", ""],
+        2, "model normalizes 1 features, the dataset has 2"),
+    "train, test fraction checked before reading": (
+        ["train", "{dir}/nope.csv", "--test-fraction", "1.5", "--out", "{dir}/out"],
+        2, "test_fraction must be in (0, 1)"),
     "synth of one sample": (
         ["synth", "--n-samples", "1", "--out", "{dir}/s.csv"], 2, "n_samples must be >= 2"),
     "synth of no samples": (
@@ -87,7 +107,9 @@ def inputs(tmp_path_factory):
     (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),
                         ("relu", gapnet_model(activation="relu")),
-                        ("nan", gapnet_model(weight=float("nan")))):
+                        ("nan", gapnet_model(weight=float("nan"))),
+                        ("narrow", baseline_model(1)),
+                        ("narrow-stats", baseline_model(2, normalization_width=1))):
         (d / f"{name}.model.json").write_text(json.dumps(model))
     return d
 

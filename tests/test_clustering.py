@@ -106,6 +106,15 @@ def test_merge_min_support_too_large():
         merge_clusters(plan, ds, min_support=3)
 
 
+def test_merge_checks_support_of_a_loaded_plan(tmp_path, paper_madelon):
+    # a plan file carries no complete-row counts; the check counts them itself
+    path = tmp_path / "plan.json"
+    save_plan(signature_clusters(paper_madelon), path, paper_madelon.feature_names)
+    loaded = load_plan(path, paper_madelon.feature_names)
+    with pytest.raises(ClusteringError, match="cluster_1, cluster_2"):
+        merge_clusters(loaded, paper_madelon, min_support=600)
+
+
 def greedy_merge_reference(groups, ds, min_support):
     """Plain reimplementation of the greedy rule with explicit loops."""
     groups = [sorted(g) for g in groups]
