@@ -35,7 +35,14 @@ from .models import (
     train_vanilla,
 )
 from .numerics import pin_blas_threads
-from .synth import GapPattern, MadelonConfig, generate_madelon, inject_gaps, paper_gap_pattern
+from .synth import (
+    GapPattern,
+    MadelonConfig,
+    SynthError,
+    generate_madelon,
+    inject_gaps,
+    paper_gap_pattern,
+)
 
 
 def _fail(kind, message):
@@ -138,6 +145,19 @@ def _add_train_args(p):
 
 
 def cmd_synth(args):
+    if args.paper_madelon:
+        paper = MadelonConfig()
+        conflicts = [flag for flag, differs in (
+            ("--n-samples", args.n_samples != paper.n_samples),
+            ("--class-separation", args.class_separation != paper.class_separation),
+            ("--clusters-per-class", args.clusters_per_class != paper.clusters_per_class),
+            ("--no-gaps", args.no_gaps),
+        ) if differs]
+        if conflicts:
+            raise SynthError(
+                f"--paper-madelon fixes the published configuration; "
+                f"it conflicts with {', '.join(conflicts)}"
+            )
     cfg = MadelonConfig(
         n_samples=args.n_samples,
         class_separation=args.class_separation,
@@ -384,7 +404,8 @@ def build_parser():
     p.add_argument(
         "--paper-madelon",
         action="store_true",
-        help="use the published benchmark configuration (these are the defaults)",
+        help="the published benchmark configuration (the defaults); "
+        "an error with a flag that changes it",
     )
     p.set_defaults(func=cmd_synth)
 

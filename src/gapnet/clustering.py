@@ -37,7 +37,6 @@ class FeatureCluster:
 @dataclass
 class ClusterPlan:
     clusters: list  # of FeatureCluster
-    complete_counts: list  # complete-row count per cluster, same order
 
 
 @dataclass
@@ -63,8 +62,7 @@ def signature_clusters(ds):
         FeatureCluster(name=f"cluster_{i + 1}", features=g)
         for i, g in enumerate(groups)
     ]
-    counts = [int(ds.complete_rows_for(c.features).size) for c in clusters]
-    return ClusterPlan(clusters=clusters, complete_counts=counts)
+    return ClusterPlan(clusters=clusters)
 
 
 def merge_clusters(plan, ds, min_support):
@@ -76,7 +74,6 @@ def merge_clusters(plan, ds, min_support):
     """
     if min_support < 1:
         raise ClusteringError("min_support must be >= 1")
-    # counted here, since a loaded plan carries no counts
     too_small = [
         c.name for c in plan.clusters if ds.complete_rows_for(c.features).size < min_support
     ]
@@ -107,8 +104,7 @@ def merge_clusters(plan, ds, min_support):
         FeatureCluster(name=f"cluster_{i + 1}", features=g)
         for i, g in enumerate(groups)
     ]
-    counts = [int(ds.complete_rows_for(c.features).size) for c in clusters]
-    return ClusterPlan(clusters=clusters, complete_counts=counts)
+    return ClusterPlan(clusters=clusters)
 
 
 def validate_plan(plan, ds):
@@ -168,7 +164,7 @@ def load_plan(path, feature_names):
                 raise ClusteringError(f"{path}: unknown feature {f!r} in {name!r}")
             indices.append(name_to_idx[f])
         clusters.append(FeatureCluster(name=name, features=indices))
-    return ClusterPlan(clusters=clusters, complete_counts=[])
+    return ClusterPlan(clusters=clusters)
 
 
 def save_plan(plan, path, feature_names):

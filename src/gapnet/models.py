@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,27 +382,86 @@ def _stream(cfg, key):
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _fit_on_rows_for(ds, split, cfg, features, key, empty_message):
-    """A baseline-shaped network over `features`, trained on the rows
-    complete for them minus test rows, from model stream `key`."""
+def _fit_setup(ds, split, cfg, features, key, empty_message):
+    """The `fit_network` arguments that train a baseline-shaped network over
+    `features`, drawn from model stream `key`, on the rows complete for them
+    minus test rows."""
     rows = _train_rows_for(ds, split, features)
     if rows.size == 0:
         raise TrainingError(empty_message)
     rng = _stream(cfg, key)
     net = build_vanilla(len(features), cfg.hidden_multiplier, cfg.dropout_rate, rng=rng)
-    fit_network(net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng)
-    return net
+    return net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_threads(cfg):
+    """Threads one run's stage-I fits may use: the usable CPUs, shared among
+    the benchmark's worker processes when cfg is a benchmark's."""
+    workers = min(cfg.jobs, cfg.runs) if hasattr(cfg, "jobs") else 1
+    return max(1, usable_cpus() // workers)
 
 
 def train_stage1(ds, plan, split, cfg):
-    """Train one sub-network per cluster on its complete rows minus test rows."""
-    return [
-        _fit_on_rows_for(
-            ds, split, cfg, cluster.features, k,
-            f"cluster {cluster.name!r} has no training rows after test exclusion",
-        )
-        for k, cluster in enumerate(plan.clusters)
+    """Train one sub-network per cluster on its complete rows minus test rows.
+
+    Fits whose batch has more rows than `tile_rows(net)` run on a thread
+    pool, one BLAS thread each; fits of one tile or fewer, whose steps are
+    bound by the interpreter lock, run on the calling thread in plan order.
+    Each fit draws only from its own stream, so the nets do not depend on
+    the pool size. When fits fail, the first failure in plan order is raised.
+    """
+    fits, failure = [], None
+    for k, cluster in enumerate(plan.clusters):
+        try:
+            fits.append(_fit_setup(
+                ds, split, cfg, cluster.features, k,
+                f"cluster {cluster.name!r} has no training rows after test exclusion",
+            ))
+        except TrainingError as exc:
+            failure = exc  # a serial loop trains the fits before it first
+            break
+    tiled = [
+        k for k, (net, _, y, _, _) in enumerate(fits)
+        if min(len(y), cfg.batch_size or len(y)) > tile_rows(net)
     ]
+    threads = min(len(tiled), _fit_threads(cfg))
+    if threads < 2:
+        nets = [fit_network(*fit) for fit in fits]
+    else:
+        nets = _fit_overlapped(fits, tiled, threads)
+    if failure is not None:
+        raise failure
+    return nets
+
+
+def _fit_overlapped(fits, tiled, threads):
+    """`fit_network` over every fit: those indexed by `tiled` on `threads`
+    pool threads, the rest here meanwhile; the nets, in order."""
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    # Set the one-thread BLAS count here, before any pool thread calls BLAS.
+    # Each fit sets it again in _epochs; setting a count of 1 to 1 changes
+    # nothing a BLAS call on another thread reads, so the calls do not race.
+    pin_blas_threads()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fit_network, *fits[k]) if k in tiled else None
+                   for k in range(len(fits))]
+        for k, fit in enumerate(fits):
+            if futures[k] is None:
+                futures[k] = Future()
+                try:
+                    futures[k].set_result(fit_network(*fit))
+                except Exception as exc:
+                    futures[k].set_exception(exc)
+    return [future.result() for future in futures]
 
 
 def train_stage2(model, ds, split, cfg):
@@ -423,9 +483,9 @@ def train_gapnet(ds, plan, split, cfg):
 
 def train_vanilla(ds, split, cfg):
     """Baseline: train on the fully complete rows minus test rows."""
-    return _fit_on_rows_for(
+    return fit_network(*_fit_setup(
         ds, split, cfg, range(ds.n_features), 0, "no complete training rows for the baseline"
-    )
+    ))
 
 
 def input_features(model):

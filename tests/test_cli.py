@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from gapnet.cli import main
+from gapnet.clustering import signature_clusters
 from gapnet.dataset import load_csv, save_csv
+from gapnet.models import build_subnet, tile_rows
 from conftest import make_dataset
 
 
@@ -308,19 +311,29 @@ def test_importance_rejects_invalid_model_file(tiny_csv, tmp_path, capsys, model
     assert json.loads(err.splitlines()[-1])["error"] == "validation"
 
 
-def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
-    import os
+def trace(argv, spans):
+    """Run one gapnet command under the benchmark's tracer; its spans."""
     import subprocess
     import sys
     from pathlib import Path
 
     import gapnet
 
-    # the benchmark's tracer looks gapnet's functions up by name
     root = Path(__file__).resolve().parent.parent
     src = os.path.dirname(os.path.dirname(gapnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
+         "gapnet", "--", *map(str, argv)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(spans.read_text())
+
+
+def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
+    # the benchmark's tracer looks gapnet's functions up by name
     data = [str(tiny_csv), "--missing-token", ""]
     out = tmp_path / "out"
     commands = [
@@ -331,24 +344,49 @@ def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
     ]
     names = set()
     for k, argv in enumerate(commands):
-        spans = tmp_path / f"spans{k}.json"
-        done = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
-             "gapnet", "--", *argv],
-            env=env, capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
-        trace = json.loads(spans.read_text())
-        names |= {span[1] for span in trace}
+        spans = trace(argv, tmp_path / f"spans{k}.json")
+        names |= {span[1] for span in spans}
     assert {
         "cli.clusters", "models.fit_network", "models.fit_gapnet",
         "numerics.adam_step", "evaluation.importance_report",
     } <= names
     # the benchmark finds stage-I fits by their parent span, and counts the
     # rows of every fit once: 2 runs of a baseline and 2 sub-networks
-    name_of = {span[0]: span[1] for span in trace}
-    parents = [name_of[span[4]] for span in trace if span[1] == "models.fit_network"]
+    name_of = {span[0]: span[1] for span in spans}
+    parents = [name_of[span[4]] for span in spans if span[1] == "models.fit_network"]
     assert sorted(parents) == ["models.train_stage1"] * 4 + ["models.train_vanilla"] * 2
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="stage-I fits overlap only on 2 or more CPUs"
+)
+def test_tracer_counts_the_rows_of_overlapped_fits(tmp_path):
+    """Two clusters of 30 features and 630 training rows each, more than
+    their 544-row tiles: their stage-I fits run on a thread pool."""
+    rng = np.random.default_rng(3)
+    present = np.ones((900, 60), dtype=bool)
+    present[:150, :30] = False
+    present[750:, 30:] = False
+    ds = make_dataset(rng.standard_normal((900, 60)), present=present)
+    path = tmp_path / "wide.csv"
+    save_csv(ds, path)
+    plan = signature_clusters(ds)
+    assert len(plan.clusters) == 2
+    n_test = int(0.2 * ds.complete_rows().size)
+    for cluster in plan.clusters:
+        assert ds.complete_rows_for(cluster.features).size - n_test > tile_rows(
+            build_subnet(cluster))
+    # the benchmark's count from the CSV: a baseline, each cluster and
+    # stage II train on their complete rows minus the test rows
+    rows = 2 * (ds.complete_rows().size - n_test)
+    rows += sum(ds.complete_rows_for(c.features).size - n_test for c in plan.clusters)
+    spans = trace(["train", path, "--missing-token", "", "--epochs", 2,
+                   "--out", tmp_path / "out"], tmp_path / "spans.json")
+    fits = [s for s in spans if s[1] in ("models.fit_network", "models.fit_gapnet")]
+    assert sum(s[6]["rows"] * s[6]["epochs"] for s in fits) == 2 * rows
+    assert [s[1] for s in fits].count("models.fit_network") == 3  # baseline, 2 clusters
+    ids = {s[0] for s in spans}
+    assert all(s[4] is None or s[4] in ids for s in spans)
 
 
 def test_importance_command(tiny_csv, tmp_path, capsys):

@@ -87,6 +87,18 @@ CASES = {
     "negative top-k": (
         ["importance", "{dir}/ok.model.json", "{dir}/few.csv", "--missing-token", "",
          "--top-k", "-1"], 2, "--top-k must be >= 0"),
+    "synth --paper-madelon with another sample count": (
+        ["synth", "--paper-madelon", "--n-samples", "500", "--out", "{dir}/s.csv"],
+        2, "--paper-madelon fixes the published configuration; it conflicts with --n-samples"),
+    "synth --paper-madelon without gaps": (
+        ["synth", "--paper-madelon", "--no-gaps", "--out", "{dir}/s.csv"],
+        2, "it conflicts with --no-gaps"),
+    "synth --paper-madelon with another class separation": (
+        ["synth", "--paper-madelon", "--class-separation", "1.0", "--out", "{dir}/s.csv"],
+        2, "it conflicts with --class-separation"),
+    "synth --paper-madelon with other clusters per class": (
+        ["synth", "--paper-madelon", "--clusters-per-class", "2", "--no-gaps",
+         "--out", "{dir}/s.csv"], 2, "it conflicts with --clusters-per-class, --no-gaps"),
     "missing dataset file": (["clusters", "{dir}/nope.csv"], 3, "No such file"),
     "nan cell": (
         ["train", "{dir}/nan.csv", "--epochs", "1", "--out", "{dir}/out"],

@@ -24,7 +24,7 @@ def test_signature_clusters_on_paper_madelon(paper_madelon):
     assert len(plan.clusters) == 2
     assert plan.clusters[0].features == list(range(25))
     assert plan.clusters[1].features == list(range(25, 40))
-    assert plan.complete_counts == [550, 550]
+    assert list(validate_plan(plan, paper_madelon).counts.values()) == [550, 550]
 
 
 def test_signature_clusters_fully_complete(complete_madelon):
@@ -87,7 +87,7 @@ def test_merge_fully_overlapping_clusters():
     plan = signature_clusters(ds)
     merged = merge_clusters(plan, ds, min_support=4)
     assert len(merged.clusters) == 1
-    assert merged.complete_counts == [4]
+    assert list(validate_plan(merged, ds).counts.values()) == [4]
 
 
 def test_merge_never_joins_disjoint_row_clusters():
@@ -155,9 +155,9 @@ def test_merge_matches_reference_on_random_four_cluster_toys(seed):
 def test_merge_respects_min_support(seed):
     ds = random_gapped(np.random.default_rng(100 + seed))
     plan = signature_clusters(ds)
-    support = min(plan.complete_counts)
+    support = min(validate_plan(plan, ds).counts.values())
     merged = merge_clusters(plan, ds, min_support=support)
-    assert min(merged.complete_counts) >= support
+    assert min(validate_plan(merged, ds).counts.values()) >= support
 
 
 def test_validate_plan_paper_madelon(paper_madelon):
@@ -173,7 +173,6 @@ def test_validate_plan_flags_overlap(paper_madelon):
             FeatureCluster("a", list(range(25))),
             FeatureCluster("b", list(range(24, 40))),
         ],
-        complete_counts=[],
     )
     report = validate_plan(plan, paper_madelon)
     assert not report.valid
@@ -186,7 +185,6 @@ def test_validate_plan_reports_uncovered_feature(paper_madelon):
             FeatureCluster("a", list(range(25))),
             FeatureCluster("b", list(range(25, 39))),
         ],
-        complete_counts=[],
     )
     report = validate_plan(plan, paper_madelon)
     assert report.uncovered_features == [39]
@@ -199,7 +197,7 @@ def test_plan_file_round_trip(tmp_path, paper_madelon):
     loaded = load_plan(path, paper_madelon.feature_names)
     counts = validate_plan(loaded, paper_madelon).counts
     assert [c.features for c in loaded.clusters] == [c.features for c in plan.clusters]
-    assert [counts[c.name] for c in loaded.clusters] == plan.complete_counts
+    assert [counts[c.name] for c in loaded.clusters] == [550, 550]
 
 
 def test_plan_file_unknown_feature(tmp_path):
@@ -221,9 +219,7 @@ def test_plan_file_round_trip_any_names(tmp_path_factory, names, owners, cluster
     groups = {}
     for j in order:
         groups.setdefault(owners[j], []).append(j)
-    plan = ClusterPlan(
-        [FeatureCluster(cluster_names[k], g) for k, g in groups.items()], []
-    )
+    plan = ClusterPlan([FeatureCluster(cluster_names[k], g) for k, g in groups.items()])
     path = tmp_path_factory.mktemp("plan") / "plan.json"
     save_plan(plan, path, names)
     loaded = load_plan(path, names)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from gapnet import models
 from gapnet.clustering import ClusterPlan, FeatureCluster, signature_clusters
-from gapnet.dataset import split
+from gapnet.benchmark import BenchmarkConfig
+from gapnet.dataset import DataSplit, split
 from gapnet.models import (
     ConfigError,
     ModelFileError,
@@ -174,7 +177,7 @@ def interleaved_plan(ds):
     """Two clusters out of index order, each taking every other feature."""
     odd = list(range(ds.n_features - 1, -1, -2))
     even = list(range(ds.n_features - 2, -1, -2))
-    return ClusterPlan([FeatureCluster("b", odd), FeatureCluster("a", even)], [])
+    return ClusterPlan([FeatureCluster("b", odd), FeatureCluster("a", even)])
 
 
 @pytest.mark.parametrize("make_plan", [signature_clusters, interleaved_plan])
@@ -388,6 +391,87 @@ def test_paper_madelon_fits_take_one_tile(paper_madelon):
         assert rows <= tile_rows(net)
 
 
+def tiled_stage1_data(monkeypatch):
+    """60 rows in three clusters under a 64-element tile: cluster_1 (2
+    features, 16-row tiles) and cluster_2 (3 features, 8-row tiles) train on
+    47 rows each; cluster_3 (1 feature, 32-row tiles) on 13."""
+    monkeypatch.setattr(models, "TILE_ELEMENTS", 64)
+    present = np.ones((60, 6), dtype=bool)
+    present[50:, 0:2] = False
+    present[40:50, 2:5] = False
+    present[16:, 5] = False
+    ds = make_dataset(np.random.default_rng(4).standard_normal((60, 6)), present=present)
+    return ds, signature_clusters(ds), split(ds, 0.2, np.random.default_rng(0))
+
+
+def spy_fits(monkeypatch, cpus, fail_widths=()):
+    """Pool the fits as if `cpus` CPUs were usable; record each fit's input
+    width and whether it ran on the calling thread, and fail the fits of
+    inputs `fail_widths` wide."""
+    monkeypatch.setattr(models, "usable_cpus", lambda: cpus)
+    real, seen = fit_network, []
+
+    def spy(net, X, *rest):
+        seen.append((X.shape[1], threading.current_thread() is threading.main_thread()))
+        if X.shape[1] in fail_widths:
+            raise TrainingError(f"fit of {X.shape[1]} features failed")
+        return real(net, X, *rest)
+
+    monkeypatch.setattr(models, "fit_network", spy)
+    return seen
+
+
+def test_tiled_stage1_fits_overlap_with_the_same_bits(monkeypatch):
+    ds, plan, s = tiled_stage1_data(monkeypatch)
+    runs = {}
+    for cpus in (1, 2):
+        seen = spy_fits(monkeypatch, cpus)
+        runs[cpus] = train_stage1(ds, plan, s, fast_cfg(epochs=3)), sorted(seen)
+    assert runs[1][1] == [(1, True), (2, True), (3, True)]
+    # the two multi-tile fits on pool threads, the one-tile fit on this one
+    assert runs[2][1] == [(1, True), (2, False), (3, False)]
+    for serial, pooled in zip(runs[1][0], runs[2][0]):
+        for a, b in zip(serial.layers, pooled.layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.biases, b.biases)
+
+
+def test_overlapped_stage1_raises_the_first_failure_in_plan_order(monkeypatch):
+    ds, plan, s = tiled_stage1_data(monkeypatch)
+    spy_fits(monkeypatch, 2)
+    held_out = DataSplit(train_rows=np.arange(16, 60), test_rows=np.arange(16))
+    with pytest.raises(
+        TrainingError, match="^cluster 'cluster_3' has no training rows after test exclusion$"
+    ):
+        train_stage1(ds, plan, held_out, fast_cfg())
+    # cluster_2's pooled fit fails before cluster_3's on the calling thread
+    seen = spy_fits(monkeypatch, 2, fail_widths=(3, 1))
+    with pytest.raises(TrainingError, match="^fit of 3 features failed$"):
+        train_stage1(ds, plan, s, fast_cfg())
+    assert len(seen) == 3
+
+
+def test_paper_madelon_stage1_starts_no_pool(paper_madelon, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(models, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    s = split(paper_madelon, 0.2, np.random.default_rng(0))
+    assert len(train_stage1(paper_madelon, signature_clusters(paper_madelon), s, fast_cfg())) == 2
+
+
+@pytest.mark.parametrize("cfg,threads", [
+    (TrainConfig(), 4),
+    (BenchmarkConfig(jobs=1), 4),
+    (BenchmarkConfig(jobs=2, runs=5), 2),
+    (BenchmarkConfig(jobs=8, runs=3), 1),  # 3 worker processes
+])
+def test_fit_threads_share_the_cpus_among_benchmark_workers(monkeypatch, cfg, threads):
+    monkeypatch.setattr(models, "usable_cpus", lambda: 4)
+    assert models._fit_threads(cfg) == threads
+
+
 def reference_fit_gapnet(model, X, y, cfg, rng):
     """The plain stage-II loop: a train-mode pass over every body each step."""
     params = [model.fusion.weights, model.fusion.biases]
@@ -502,7 +586,7 @@ def tiny_models(tmp_path):
     """Saved gapnet and baseline models of a small dataset, as parsed JSON."""
     rng = np.random.default_rng(2)
     ds = make_dataset(rng.standard_normal((30, 4)), labels=np.arange(30) % 2)
-    plan = ClusterPlan([FeatureCluster("b", [3, 1]), FeatureCluster("a", [0, 2])], [])
+    plan = ClusterPlan([FeatureCluster("b", [3, 1]), FeatureCluster("a", [0, 2])])
     s = split(ds, 0.2, np.random.default_rng(0))
     model, _ = train_gapnet(ds, plan, s, fast_cfg())
     out = {}
