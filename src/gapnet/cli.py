@@ -36,7 +36,6 @@ from .models import (
 )
 from .numerics import pin_blas_threads
 from .synth import (
-    GapPattern,
     MadelonConfig,
     SynthError,
     generate_madelon,
@@ -166,9 +165,7 @@ def cmd_synth(args):
     )
     ds = generate_madelon(cfg)
     if not args.no_gaps:
-        pattern = paper_gap_pattern() if args.n_samples == 1000 else GapPattern()
-        if pattern.blocks:
-            ds = inject_gaps(ds, pattern)
+        ds = inject_gaps(ds, paper_gap_pattern(args.n_samples))
     ds_mod.save_csv(ds, args.out)
     complete = ds.complete_rows()
     print(

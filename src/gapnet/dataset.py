@@ -7,10 +7,28 @@ surface immediately, but all code must consult ``present`` first.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import os
+import signal
+import struct
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import usable_cpus
+
+# Body bytes per forked range reader: below twice this a file is read
+# serially, as a fork and the pipe back cost more than they save.
+RANGE_BYTES = 1 << 20
+
+# A missing cell parses as this NaN, whose payload float() never produces,
+# so one compare of the bits finds every missing cell.
+_MISSING_BITS = 0x7FF8_0000_0000_0001
+_MISSING = struct.unpack("<d", struct.pack("<Q", _MISSING_BITS))[0]
+_LABELS = ("0", "1")
 
 
 class DatasetError(ValueError):
@@ -85,7 +103,13 @@ class NormalizationStats:
 
 
 def load_csv(path, missing_token="NA", label_column="label"):
-    """Read a gapped dataset from CSV; empty cells or the token mean missing."""
+    """Read a gapped dataset from CSV; empty cells or the token mean missing.
+
+    A body of at least 2 x RANGE_BYTES is cut at line ends into byte ranges
+    that forked readers parse (`_forked_read`), with the bits of a serial
+    read. A failure in any range reads the whole file again serially, so an
+    error names the first bad record in file order.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -99,43 +123,177 @@ def load_csv(path, missing_token="NA", label_column="label"):
         if len(set(feature_names)) != len(feature_names):
             dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
             raise DatasetError(f"{path}: duplicate feature names {dupes}")
-        values, mask, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DatasetError(f"{path}:{lineno}: expected {len(header)} fields")
+        parse = functools.partial(_parse_rows, path=path, header=header,
+                                  label_pos=label_pos, token=missing_token)
+        cells = _forked_read(path, parse)
+        if cells is None:
+            cells = parse(reader)
+    if not len(cells):
+        raise DatasetError(f"{path}: no data rows")
+    missing = np.delete(cells.view(np.uint64) == _MISSING_BITS, label_pos, axis=1)
+    values = np.delete(cells, label_pos, axis=1)
+    values[missing] = np.nan
+    return GappedDataset(
+        feature_names=feature_names,
+        values=values,
+        present=~missing,
+        labels=cells[:, label_pos].astype(np.int64),
+    )
+
+
+def _parse_rows(rows, path, header, label_pos, token):
+    """CSV records, numbered from line 2, as an (n, len(header)) float64
+    array: the label as 0.0 or 1.0, a missing cell as _MISSING. Raises
+    DatasetError at the first bad record.
+
+    float() strips the whitespace that strip() does, or rejects the cell, so
+    a row reads unstripped with one comprehension; a row where float()
+    raises takes the stripped path. A token that strip() changes or that
+    reads as a number could equal a stripped cell that float() reads, so
+    then every row takes the stripped path.
+    """
+    width = len(header)
+    lean = token == token.strip() and not _reads_as_number(token)
+    out = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise DatasetError(f"{path}:{lineno}: expected {width} fields")
+        if row[label_pos] not in _LABELS:
             label_cell = row[label_pos].strip()
-            if label_cell not in ("0", "1"):
+            if label_cell not in _LABELS:
                 raise DatasetError(
                     f"{path}:{lineno}: label must be 0 or 1, got {label_cell!r}"
                 )
-            labels.append(int(label_cell))
-            vrow, mrow = [], []
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    continue
-                cell = cell.strip()
-                if cell == "" or cell == missing_token:
-                    vrow.append(np.nan)
-                    mrow.append(False)
-                else:
-                    try:
-                        vrow.append(float(cell))
-                    except ValueError:
-                        raise DatasetError(
-                            f"{path}:{lineno}: cannot parse {cell!r} in column "
-                            f"{header[i]!r}"
-                        ) from None
-                    mrow.append(True)
-            values.append(vrow)
-            mask.append(mrow)
-    if not values:
-        raise DatasetError(f"{path}: no data rows")
-    return GappedDataset(
-        feature_names=feature_names,
-        values=np.array(values, dtype=np.float64),
-        present=np.array(mask, dtype=bool),
-        labels=np.array(labels, dtype=np.int64),
-    )
+        if lean:
+            try:
+                out.append([float(c) if c and c != token else _MISSING for c in row])
+                continue
+            except ValueError:
+                pass
+        cells = [c.strip() for c in row]
+        for i, cell in enumerate(cells):
+            if i != label_pos and (cell == "" or cell == token):
+                cells[i] = _MISSING
+            else:
+                try:
+                    cells[i] = float(cell)
+                except ValueError:
+                    raise DatasetError(
+                        f"{path}:{lineno}: cannot parse {cell!r} in column "
+                        f"{header[i]!r}"
+                    ) from None
+        out.append(cells)
+    return np.array(out, dtype=np.float64).reshape(-1, width)
+
+
+def _forked_read(path, parse):
+    """`parse` of the CSV body, its ranges parsed on forked children and the
+    last one here, or None when the file must be read serially: when the body
+    is under 2 x RANGE_BYTES, fewer than 2 CPUs are usable, the platform is
+    not Linux, another thread is alive (forking it could deadlock the child),
+    the file holds a quote (a quoted field may span a cut) or any range
+    fails. Every child is reaped on every path."""
+    if (not sys.platform.startswith("linux") or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return None
+    ranges = _body_ranges(path)
+    if ranges is None:
+        return None
+    children, parts = [], None
+    try:
+        for start, end in ranges[:-1]:
+            children.append(_fork_reader(path, start, end, parse))
+        tail = _read_range(path, ranges[-1][0], None, parse)
+        parts = [_receive(r, tail.shape[1]) for _, r in children] + [tail]
+    except (OSError, ValueError, csv.Error):
+        parts = None
+    finally:
+        for pid, r in children:
+            if parts is None:
+                os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+                parts = None
+    return None if parts is None else np.concatenate(parts)
+
+
+def _body_ranges(path):
+    """Byte ranges [start, end) that cut the body at line ends, up to
+    usable_cpus() of them and each at least RANGE_BYTES long; None for fewer
+    than two, or for a file that holds a quote."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+        body = size - len(header)
+        count = min(usable_cpus(), body // RANGE_BYTES)
+        # the header record is this line alone unless it holds a lone \r
+        if count < 2 or b"\r" in header[:-2]:
+            return None
+        fh.seek(0)
+        while chunk := fh.read(1 << 20):
+            if b'"' in chunk:
+                return None
+        cuts = [len(header)]
+        for i in range(1, count):
+            fh.seek(len(header) + body * i // count)
+            fh.readline()
+            cuts.append(fh.tell())
+    cuts.append(size)
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    return ranges if len(ranges) > 1 else None
+
+
+def _fork_reader(path, start, end, parse):
+    """Fork a child that writes the bytes of the array `parse` makes of
+    bytes [start, end) of path to a pipe, and exits 0 only when it has;
+    (its pid, the pipe's read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(_read_range(path, start, end, parse).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_range(path, start, end, parse):
+    """`parse` of the CSV records in bytes [start, end) of path (end None:
+    to the end of the file, streamed)."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        raw = fh if end is None else io.BytesIO(fh.read(end - start))
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
+            return parse(csv.reader(text))
+
+
+def _receive(fd, width):
+    """A child's array, read from its pipe to the end. Every range holds a
+    record, so a child that sent nothing failed."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    if not chunks:
+        raise ValueError("a range reader sent nothing")
+    return np.frombuffer(b"".join(chunks), dtype=np.float64).reshape(-1, width)
+
+
+def _reads_as_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def save_csv(ds, path, missing_token="", label_column="label"):
@@ -144,11 +302,7 @@ def save_csv(ds, path, missing_token="", label_column="label"):
     reads as a number, or that load_csv's strip would change, raises
     DatasetError. The bytes are csv.writer's (excel dialect): a float repr
     never needs quoting, so only the header and the token go through it."""
-    try:
-        float(missing_token)
-    except ValueError:
-        pass
-    else:
+    if _reads_as_number(missing_token):
         raise DatasetError(f"missing token {missing_token!r} would read as a number")
     if missing_token.strip() not in ("", missing_token):
         raise DatasetError(f"missing token {missing_token!r} has surrounding whitespace")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .numerics import (
     dropout_mask,
     glorot_init,
     pin_blas_threads,
+    usable_cpus,
 )
 
 
@@ -394,14 +394,6 @@ def _fit_setup(ds, split, cfg, features, key, empty_message):
     return net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng
 
 
-def usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _fit_threads(cfg):
     """Threads one run's stage-I fits may use: the usable CPUs, shared among
     the benchmark's worker processes when cfg is a benchmark's."""
@@ -445,23 +437,30 @@ def train_stage1(ds, plan, split, cfg):
 def _fit_overlapped(fits, tiled, threads):
     """`fit_network` over every fit: those indexed by `tiled` on `threads`
     pool threads, the rest here meanwhile; the nets, in order."""
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
+
+    nets, failures = [None] * len(fits), [None] * len(fits)
+
+    def fit(k):
+        try:
+            nets[k] = fit_network(*fits[k])
+        except Exception as exc:
+            failures[k] = exc
 
     # Set the one-thread BLAS count here, before any pool thread calls BLAS.
     # Each fit sets it again in _epochs; setting a count of 1 to 1 changes
     # nothing a BLAS call on another thread reads, so the calls do not race.
     pin_blas_threads()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fit_network, *fits[k]) if k in tiled else None
-                   for k in range(len(fits))]
-        for k, fit in enumerate(fits):
-            if futures[k] is None:
-                futures[k] = Future()
-                try:
-                    futures[k].set_result(fit_network(*fit))
-                except Exception as exc:
-                    futures[k].set_exception(exc)
-    return [future.result() for future in futures]
+        for k in tiled:
+            pool.submit(fit, k)
+        for k in range(len(fits)):
+            if k not in tiled:
+                fit(k)
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return nets
 
 
 def train_stage2(model, ds, split, cfg):

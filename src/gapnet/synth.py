@@ -64,9 +64,12 @@ class GapPattern:
     blocks: list = field(default_factory=list)  # of ((row_lo, row_hi), (col_lo, col_hi))
 
 
-def paper_gap_pattern():
-    """Rows 1-450 lose features 1-25; rows 551-1000 lose features 26-40."""
-    return GapPattern(blocks=[((1, 450), (1, 25)), ((551, 1000), (26, 40))])
+def paper_gap_pattern(n_samples=1000):
+    """The paper's two blocks scaled by row fraction: the first 45% of rows
+    lose features 1-25 and the last 45% lose features 26-40 (rows 1-450 and
+    551-1000 of 1000). Each block holds at least one row."""
+    rows = max(1, n_samples * 9 // 20)
+    return GapPattern(blocks=[((1, rows), (1, 25)), ((n_samples - rows + 1, n_samples), (26, 40))])
 
 
 def generate_madelon(cfg):

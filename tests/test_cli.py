@@ -55,6 +55,15 @@ def test_synth_no_gaps(tmp_path, capsys):
     assert json.loads(out)["complete_rows"] == 1000
 
 
+def test_synth_scales_the_gaps_to_any_size(tmp_path, capsys):
+    out_csv = tmp_path / "half.csv"
+    code, out, _ = run(capsys, "synth", "--n-samples", 500, "--out", out_csv)
+    assert code == 0
+    assert json.loads(out)["complete_rows"] == 50
+    ds = load_csv(out_csv, missing_token="")
+    assert ds.complete_rows().tolist() == list(range(225, 275))
+
+
 def test_synth_same_seed_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "synth", "--out", a, "--seed", 5)

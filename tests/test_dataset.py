@@ -1,10 +1,15 @@
 import csv
+import io
+import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapnet import dataset
 from gapnet.dataset import (
     DatasetError,
     compute_stats,
@@ -244,3 +249,222 @@ def test_normalize_keeps_missing_missing(paper_madelon):
     out = normalize(paper_madelon, stats)
     assert np.array_equal(out.present, paper_madelon.present)
     assert np.isnan(out.values[~out.present]).all()
+
+
+# --- forked range readers -------------------------------------------------
+
+RANGE_PADDING = ["", " ", "\t", "\xa0", "\x1c"]  # "\x1c": strip() drops it, float() does not
+# "-1" and "1" read as numbers; strip() changes " NA" and " "
+RANGE_TOKENS = ["NA", "", "?", "-1", "1", " NA", " "]
+
+
+def reference_load_csv(text, token):
+    """load_csv as a plain per-cell reader: strip each cell, then test it."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    label_pos = rows[0].index("label")
+    values, present, labels = [], [], []
+    for row in rows[1:]:
+        labels.append(int(row[label_pos].strip()))
+        cells = [c.strip() for i, c in enumerate(row) if i != label_pos]
+        present.append([c not in ("", token) for c in cells])
+        values.append([float(c) if p else np.nan for c, p in zip(cells, present[-1])])
+    return np.array(values), np.array(present, dtype=bool), np.array(labels, dtype=np.int64)
+
+
+@st.composite
+def gapped_csv_text(draw, token):
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    label_pos = draw(st.integers(0, f))
+    number = st.one_of(
+        st.floats(allow_nan=False).map(repr),
+        st.sampled_from(["1", "-1", "0", "nan", "-nan", "inf", "-inf", "NaN", "1e5"]),
+    )
+    bare = st.one_of(number, st.sampled_from(["", token, " ", "\t "]))
+    pad = st.sampled_from(RANGE_PADDING)
+    cell = st.builds(lambda a, c, b: a + c + b, pad, bare, pad)
+    label = st.builds(lambda a, c, b: a + c + b, pad, st.sampled_from(["0", "1"]), pad)
+    names = [f"x{j}" for j in range(f)]
+    names.insert(label_pos, "label")
+    lines = [",".join(names)]
+    for _ in range(n):
+        row = draw(st.lists(cell, min_size=f, max_size=f))
+        row.insert(label_pos, draw(label))
+        lines.append(",".join(row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n + 1, max_size=n + 1))
+    last = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "".join(line + end for line, end in zip(lines, ends[:-1] + [last]))
+
+
+def assert_same_dataset(ds, values, present, labels):
+    assert ds.values.dtype == np.float64 and ds.values.flags.c_contiguous
+    assert ds.present.flags.c_contiguous and ds.labels.dtype == np.int64
+    assert np.array_equal(ds.values.view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(ds.present, present)
+    assert np.array_equal(ds.labels, labels)
+
+
+def count_parent_parses(mp):
+    """Patch _parse_rows to count the calls made in this process."""
+    parent, parse, calls = os.getpid(), dataset._parse_rows, []
+
+    def counted(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(1)
+        return parse(*args, **kwargs)
+
+    mp.setattr(dataset, "_parse_rows", counted)
+    return calls
+
+
+@given(data=st.data(), token=st.sampled_from(RANGE_TOKENS),
+       range_bytes=st.integers(1, 40), cpus=st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_forked_ranges_read_the_bits_of_a_per_cell_reader(
+        tmp_path_factory, data, token, range_bytes, cpus):
+    text = data.draw(gapped_csv_text(token))
+    path = tmp_path_factory.mktemp("ranges") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "RANGE_BYTES", range_bytes)
+        mp.setattr(dataset, "usable_cpus", lambda: cpus)
+        parses = count_parent_parses(mp)
+        try:
+            expected = reference_load_csv(text, token)
+        except ValueError:  # a padded token that strip() changes cannot be read
+            with pytest.raises(DatasetError, match="cannot parse"):
+                load_csv(path, missing_token=token)
+            return
+        ds = load_csv(path, missing_token=token)
+    assert_same_dataset(ds, *expected)
+    assert len(parses) == 1  # one parse here: no range failed over to a serial read
+
+
+@pytest.mark.parametrize("token,cell,value", [
+    ("-1", " -1", None),  # a numeric token: every row is stripped first
+    ("NA", " NA\t", None),
+    ("NA", " \t", None),
+    ("NA", "\x1c2.5\xa0", 2.5),  # strip() drops "\x1c"; float() does not
+    ("NA", " nan ", "nan"),
+    ("", "-inf ", -np.inf),
+    (" NA", " NA", "cannot parse 'NA' in column 'b'"),  # strip() changes the token
+])
+def test_cells_at_the_edges_of_the_lean_row_loop(tmp_path, token, cell, value):
+    path = write(tmp_path, f"a,b,label\n1,{cell},0\n")
+    if isinstance(value, str) and value.startswith("cannot parse"):
+        with pytest.raises(DatasetError, match=f":2: {value}$"):
+            load_csv(path, missing_token=token)
+        return
+    ds = load_csv(path, missing_token=token)
+    assert ds.present[0].tolist() == [True, value is not None]
+    expected = np.array([np.nan if value is None else float(value)])
+    assert ds.values[0, 1:].view(np.uint64) == expected.view(np.uint64)
+
+
+def many_rows(n=40, bad=None):
+    """A CSV text of n rows over two features, row `bad` replaced."""
+    rows = [f"{i}.5,,{i % 2}" if i % 3 else f",-{i}.25,{i % 2}" for i in range(n)]
+    if bad is not None:
+        rows[bad[0]] = bad[1]
+    return "a,b,label\n" + "\n".join(rows) + "\n"
+
+
+@pytest.fixture
+def forked_ranges(monkeypatch):
+    """Four ranges for a many_rows file; counts of the forks made and of the
+    parses run in this process (two when a range failed over to a serial read)."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(dataset, "RANGE_BYTES", 64)
+    monkeypatch.setattr(dataset, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", counted)
+    return SimpleNamespace(forks=forks, parses=count_parent_parses(monkeypatch))
+
+
+def serial_load(path, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "RANGE_BYTES", 1 << 40)
+        return load_csv(path, **kwargs)
+
+
+def test_forked_ranges_are_used_and_joined_in_file_order(tmp_path, forked_ranges):
+    path = write(tmp_path, many_rows())
+    ds = load_csv(path)
+    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
+    assert_same_dataset(ds, *reference_load_csv(path.read_text(), "NA"))
+
+
+@pytest.mark.parametrize("row", [38, 5])  # the last range, parsed here; a forked one
+@pytest.mark.parametrize("bad,message", [
+    ("1,2,0,3", "expected 3 fields"),
+    ("1,2", "expected 3 fields"),
+    ("1,2,7", "label must be 0 or 1, got '7'"),
+    ("1, x ,1", "cannot parse 'x' in column 'b'"),
+])
+def test_a_bad_record_in_any_range_gives_the_serial_error(
+        tmp_path, forked_ranges, row, bad, message):
+    path = write(tmp_path, many_rows(bad=(row, bad)))
+    with pytest.raises(DatasetError) as serial:
+        serial_load(path)
+    with pytest.raises(DatasetError) as forked:
+        load_csv(path)
+    assert str(forked.value) == str(serial.value) == f"{path}:{row + 2}: {message}"
+    assert len(forked_ranges.forks) == 3
+
+
+def test_the_first_bad_record_in_file_order_is_named(tmp_path, forked_ranges):
+    text = many_rows(bad=(38, "1,2,7")).replace("\n10.5,,0\n", "\n10.5,oops,0\n")
+    path = write(tmp_path, text)
+    with pytest.raises(DatasetError, match=r":12: cannot parse 'oops' in column 'b'$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("status", [0, 3])  # sends nothing; sends its rows, then fails
+def test_a_failed_child_falls_back_to_a_serial_read(
+        tmp_path, forked_ranges, monkeypatch, status):
+    parent, exit_, parse = os.getpid(), os._exit, dataset._parse_rows
+
+    def sending_nothing(*args, **kwargs):
+        if os.getpid() != parent:
+            exit_(0)
+        return parse(*args, **kwargs)
+
+    if status:
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(status))
+    else:
+        monkeypatch.setattr(dataset, "_parse_rows", sending_nothing)
+    path = write(tmp_path, many_rows())
+    assert_same_dataset(load_csv(path), *reference_load_csv(path.read_text(), "NA"))
+    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 2
+
+
+@pytest.mark.parametrize("case", ["quoted field", "second thread", "one cpu"])
+def test_cases_that_must_not_fork_read_serially(tmp_path, monkeypatch, case):
+    def no_fork():
+        raise AssertionError("forked")
+
+    text = many_rows()
+    monkeypatch.setattr(dataset, "RANGE_BYTES", 64)
+    monkeypatch.setattr(dataset, "usable_cpus", lambda: 1 if case == "one cpu" else 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    if case == "quoted field":
+        text = text.replace("\n38.5,", '\n"38.5",')
+        assert '"' in text
+    path = write(tmp_path, text)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "second thread":
+        thread.start()
+    try:
+        ds = load_csv(path)
+    finally:
+        stop.set()
+        if case == "second thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert_same_dataset(ds, *reference_load_csv(text, "NA"))

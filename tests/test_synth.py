@@ -87,6 +87,15 @@ def test_paper_gap_pattern_complete_rows():
     assert ds.complete_rows().tolist() == list(range(450, 550))
 
 
+def test_paper_gap_pattern_scales_by_row_fraction():
+    assert paper_gap_pattern(1000) == paper_gap_pattern()
+    assert paper_gap_pattern(500).blocks == [((1, 225), (1, 25)), ((276, 500), (26, 40))]
+    for n in range(2, 60):
+        (first, _), (second, _) = paper_gap_pattern(n).blocks
+        assert first == (1, max(1, n * 9 // 20)) and second[1] == n
+        assert first[1] >= first[0] and second[1] >= second[0] and first[1] < second[0]
+
+
 def test_empty_pattern_is_identity():
     ds = generate_madelon(MadelonConfig(seed=3))
     out = inject_gaps(ds, GapPattern())
