@@ -48,24 +48,10 @@ def _fail(kind, message):
     print(json.dumps({"error": kind, "message": str(message)}), file=sys.stderr)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _write_json(obj, path):
     """Writes obj with sorted keys, indent 1 and a trailing newline, when path
     is given; returns the text without the newline."""
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
+    text = json.dumps(obj, sort_keys=True, indent=1)
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     return text
@@ -80,7 +66,7 @@ def _sha256(path):
 
 
 def _config_hash(config):
-    blob = json.dumps(_jsonable(config), sort_keys=True).encode()
+    blob = json.dumps(config, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -107,7 +93,7 @@ def _load_dataset(args):
 
 
 def _resolve_plan(args, ds):
-    if getattr(args, "plan", None):
+    if args.plan:
         plan = load_plan(args.plan, ds.feature_names)
         report = validate_plan(plan, ds)
         if not report.valid:
@@ -268,7 +254,7 @@ def cmd_train(args):
         }
     report_path = out / "train_report.json"
     _write_json(report, report_path)
-    print(json.dumps({"report": str(report_path), **_jsonable(report["models"])}))
+    print(json.dumps({"report": str(report_path), **report["models"]}))
     return 0
 
 
@@ -305,20 +291,18 @@ def cmd_benchmark(args):
     }
     _write_json(manifest, out / "manifest.json")
     _write_json(report, out / "report.json")
-    with open(out / "roc.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "fpr", "mean_tpr", "std_tpr"])
-        for name, entry in sorted(report["models"].items()):
-            roc = entry["roc"]
-            for f, m, s in zip(roc["fpr"], roc["mean_tpr"], roc["std_tpr"]):
-                writer.writerow([name, repr(f), repr(m), repr(s)])
-    with open(out / "histogram.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "bin_lo", "bin_hi", "count"])
-        for name, entry in sorted(report["models"].items()):
-            hist = entry["histogram"]
-            for lo, hi, c in zip(hist["edges"], hist["edges"][1:], hist["counts"]):
-                writer.writerow([name, repr(lo), repr(hi), c])
+    for filename, columns, table in (
+        ("roc.csv", ("fpr", "mean_tpr", "std_tpr"),
+         lambda roc, hist: (roc["fpr"], roc["mean_tpr"], roc["std_tpr"])),
+        ("histogram.csv", ("bin_lo", "bin_hi", "count"),
+         lambda roc, hist: (hist["edges"], hist["edges"][1:], hist["counts"])),
+    ):
+        with open(out / filename, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["model", *columns])
+            for name, entry in sorted(report["models"].items()):
+                for row in zip(*table(entry["roc"], entry["histogram"])):
+                    writer.writerow([name, *map(repr, row)])
     summary = {
         "report": str(out / "report.json"),
         "gapnet_auc": f"{report['models']['gapnet']['auc_mean']:.3f}"

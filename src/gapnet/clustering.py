@@ -57,12 +57,14 @@ def signature_clusters(ds):
     for j in range(ds.n_features):
         key = ds.present[:, j].tobytes()
         signatures.setdefault(key, []).append(j)
-    groups = sorted(signatures.values(), key=lambda g: g[0])
-    clusters = [
-        FeatureCluster(name=f"cluster_{i + 1}", features=g)
-        for i, g in enumerate(groups)
-    ]
-    return ClusterPlan(clusters=clusters)
+    return _named_plan(signatures.values())
+
+
+def _named_plan(groups):
+    """The groups of feature indices as a plan, ordered by their first
+    feature and named cluster_1, cluster_2, ... in that order."""
+    groups = sorted(groups, key=lambda g: g[0])
+    return ClusterPlan([FeatureCluster(f"cluster_{i + 1}", g) for i, g in enumerate(groups)])
 
 
 def merge_clusters(plan, ds, min_support):
@@ -99,12 +101,7 @@ def merge_clusters(plan, ds, min_support):
         _, a, b, _ = best
         groups[a] = sorted(groups[a] + groups[b])
         del groups[b]
-    groups.sort(key=lambda g: g[0])
-    clusters = [
-        FeatureCluster(name=f"cluster_{i + 1}", features=g)
-        for i, g in enumerate(groups)
-    ]
-    return ClusterPlan(clusters=clusters)
+    return _named_plan(groups)
 
 
 def validate_plan(plan, ds):

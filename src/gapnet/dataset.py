@@ -118,6 +118,8 @@ def load_csv(path, missing_token="NA", label_column="label"):
             raise DatasetError(f"{path}: empty file") from None
         if label_column not in header:
             raise DatasetError(f"{path}: no {label_column!r} column in header")
+        if header.count(label_column) > 1:
+            raise DatasetError(f"{path}: the header names the {label_column!r} column more than once")
         label_pos = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
         if len(set(feature_names)) != len(feature_names):

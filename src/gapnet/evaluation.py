@@ -301,13 +301,14 @@ class RunAggregate:
 
 
 def interpolate_tpr(curve, grid):
-    """TPR at each grid FPR, taking the upper envelope at duplicate FPRs."""
-    best = {}
-    for f, t in zip(curve.fpr, curve.tpr):
-        best[f] = max(best.get(f, 0.0), t)
-    xs = np.array(sorted(best))
-    ys = np.array([best[x] for x in xs])
-    return np.interp(grid, xs, ys)
+    """TPR at each grid FPR, taking the upper envelope at duplicate FPRs.
+
+    The curve's FPR and TPR must both be non-decreasing, as along a
+    `roc_curve`, so the last point of each run of equal FPRs has the
+    highest TPR.
+    """
+    last = np.r_[curve.fpr[1:] != curve.fpr[:-1], True]
+    return np.interp(grid, curve.fpr[last], curve.tpr[last])
 
 
 def aggregate_runs(curves, aucs, grid_points=101, bin_width=0.02):

@@ -162,12 +162,7 @@ def fit_network(net, X, y, cfg, rng):
     params = _pack([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable])
     size = min(n, cfg.batch_size or n)
     tile = tile_rows(net)
-    # one workspace per tile length: a batch runs as whole tiles, then a
-    # short last one (the full batches, and the short last batch if any)
-    lengths = set()
-    for rows in {size, n % size} - {0}:
-        lengths |= {min(rows, tile), rows % tile} - {0}
-    workspaces = {rows: Workspace(net, rows) for rows in lengths}
+    workspaces = {}  # per tile length, made when first used
     total = FlatBuffer([v.shape for v in params.views], params.names) if size > tile else None
     state = AdamState(learning_rate=cfg.learning_rate)
 
@@ -175,7 +170,8 @@ def fit_network(net, X, y, cfg, rng):
         Xb, yb = (X, y) if rows is None else (X[rows], y[rows])
         m = len(yb)
         for start in range(0, m, tile):
-            workspace = workspaces[min(tile, m - start)]
+            span = min(tile, m - start)
+            workspace = workspaces.get(span) or workspaces.setdefault(span, Workspace(net, span))
             end = start + workspace.rows
             cache = net.forward(Xb[start:end], mode="train", rng=rng, workspace=workspace)
             net.backprop(cache, yb[start:end], workspace=workspace, mean_over=m)
@@ -406,11 +402,12 @@ def train_stage1(ds, plan, split, cfg):
 
     Fits whose batch has more rows than `tile_rows(net)` run on a thread
     pool, one BLAS thread each; fits of one tile or fewer, whose steps are
-    bound by the interpreter lock, run on the calling thread in plan order.
-    Each fit draws only from its own stream, so the nets do not depend on
-    the pool size. When fits fail, the first failure in plan order is raised.
+    bound by the interpreter lock, run on the calling thread in plan order
+    meanwhile. Each fit draws only from its own stream, so the nets do not
+    depend on the pool size. When fits fail, the first failure in plan order
+    is raised.
     """
-    fits, failure = [], None
+    fits, setup_failure = [], None
     for k, cluster in enumerate(plan.clusters):
         try:
             fits.append(_fit_setup(
@@ -418,28 +415,9 @@ def train_stage1(ds, plan, split, cfg):
                 f"cluster {cluster.name!r} has no training rows after test exclusion",
             ))
         except TrainingError as exc:
-            failure = exc  # a serial loop trains the fits before it first
+            setup_failure = exc  # a serial loop trains the fits before it first
             break
-    tiled = [
-        k for k, (net, _, y, _, _) in enumerate(fits)
-        if min(len(y), cfg.batch_size or len(y)) > tile_rows(net)
-    ]
-    threads = min(len(tiled), _fit_threads(cfg))
-    if threads < 2:
-        nets = [fit_network(*fit) for fit in fits]
-    else:
-        nets = _fit_overlapped(fits, tiled, threads)
-    if failure is not None:
-        raise failure
-    return nets
-
-
-def _fit_overlapped(fits, tiled, threads):
-    """`fit_network` over every fit: those indexed by `tiled` on `threads`
-    pool threads, the rest here meanwhile; the nets, in order."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    nets, failures = [None] * len(fits), [None] * len(fits)
+    nets, failures = [None] * len(fits), [None] * len(fits) + [setup_failure]
 
     def fit(k):
         try:
@@ -447,16 +425,27 @@ def _fit_overlapped(fits, tiled, threads):
         except Exception as exc:
             failures[k] = exc
 
-    # Set the one-thread BLAS count here, before any pool thread calls BLAS.
-    # Each fit sets it again in _epochs; setting a count of 1 to 1 changes
-    # nothing a BLAS call on another thread reads, so the calls do not race.
-    pin_blas_threads()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for k in tiled:
-            pool.submit(fit, k)
+    tiled = [
+        k for k, (net, _, y, _, _) in enumerate(fits)
+        if min(len(y), cfg.batch_size or len(y)) > tile_rows(net)
+    ]
+    threads = min(len(tiled), _fit_threads(cfg))
+    if threads < 2:
         for k in range(len(fits)):
-            if k not in tiled:
-                fit(k)
+            fit(k)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Set the one-thread BLAS count here, before any pool thread calls BLAS.
+        # Each fit sets it again in _epochs; setting a count of 1 to 1 changes
+        # nothing a BLAS call on another thread reads, so the calls do not race.
+        pin_blas_threads()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for k in tiled:
+                pool.submit(fit, k)
+            for k in range(len(fits)):
+                if k not in tiled:
+                    fit(k)
     for exc in failures:
         if exc is not None:
             raise exc
@@ -515,12 +504,20 @@ def _layer_to_json(layer):
     }
 
 
+def _typed(value, kind, what):
+    """value, when its type is exactly kind (so a bool is no int)."""
+    if type(value) is not kind:
+        name = {bool: "boolean", int: "integer"}[kind]
+        raise ModelFileError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _layer_from_json(obj):
     layer = DenseLayer(
         weights=np.array(obj["weights"], dtype=np.float64),
         biases=np.array(obj["biases"], dtype=np.float64),
         activation=obj["activation"],
-        trainable=obj["trainable"],
+        trainable=_typed(obj["trainable"], bool, "a layer's trainable"),
     )
     if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
         raise ModelFileError("a layer holds a non-finite weight or bias")
@@ -537,7 +534,8 @@ def _net_to_json(net):
 def _net_from_json(obj):
     return MlpNetwork(
         [_layer_from_json(l) for l in obj["layers"]],
-        [DropoutSpec(s["rate"], s["placement"]) for s in obj["dropout"]],
+        [DropoutSpec(s["rate"], _typed(s["placement"], int, "a dropout placement"))
+         for s in obj["dropout"]],
     )
 
 
@@ -592,7 +590,7 @@ def _model_from_json(obj):
                 FeatureCluster(c["name"], c["features"]) for c in obj["clusters"]
             ],
             fusion=_layer_from_json(obj["fusion"]),
-            freeze_bodies=obj["freeze_bodies"],
+            freeze_bodies=_typed(obj["freeze_bodies"], bool, "freeze_bodies"),
         )
     elif obj["kind"] == "mlp":
         model = _net_from_json(obj["network"])
@@ -624,7 +622,9 @@ def load_model(path):
     model: a format_version other than 1 (a missing one reads as 1), a
     wrong kind, a missing key, a non-numeric array, a non-finite weight or
     bias, layers that do not chain, an unknown activation, a body that does
-    not fit its cluster, or a normalization whose mean and std are not
+    not fit its cluster, a `freeze_bodies` or layer `trainable` that is not
+    a JSON boolean, a dropout `placement` that is not a JSON integer (true
+    and false are not), or a normalization whose mean and std are not
     finite lists of one length per feature name with every std > 0.
     """
     with open(path, encoding="utf-8") as fh:

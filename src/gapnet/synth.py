@@ -112,12 +112,9 @@ def generate_madelon(cfg):
     noise = rng.standard_normal((n, n_noise))
 
     values = np.empty((n, cfg.n_features))
-    for j, col in zip(cfg.informative_indices, informative.T):
-        values[:, j - 1] = col
-    for j, col in zip(cfg.redundant_indices, redundant.T):
-        values[:, j - 1] = col
-    for j, col in zip(cfg.noise_indices, noise.T):
-        values[:, j - 1] = col
+    for indices, block in ((cfg.informative_indices, informative),
+                           (cfg.redundant_indices, redundant), (cfg.noise_indices, noise)):
+        values[:, np.subtract(indices, 1)] = block
 
     order = rng.permutation(n)
     return GappedDataset(

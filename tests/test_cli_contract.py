@@ -100,6 +100,9 @@ CASES = {
         ["synth", "--paper-madelon", "--clusters-per-class", "2", "--no-gaps",
          "--out", "{dir}/s.csv"], 2, "it conflicts with --clusters-per-class, --no-gaps"),
     "missing dataset file": (["clusters", "{dir}/nope.csv"], 3, "No such file"),
+    "label column named twice": (
+        ["clusters", "{dir}/two-labels.csv", "--missing-token", ""],
+        2, "names the 'label' column more than once"),
     "nan cell": (
         ["train", "{dir}/nan.csv", "--epochs", "1", "--out", "{dir}/out"],
         2, "nan.csv:5: non-finite value nan in column 'f2'"),
@@ -115,6 +118,8 @@ def inputs(tmp_path_factory):
     (d / "few.csv").write_text(FEW_COMPLETE)
     (d / "nan.csv").write_text(one_bad_cell("nan"))
     (d / "inf.csv").write_text(one_bad_cell("inf"))
+    (d / "two-labels.csv").write_text(
+        "x1,label,label\n" + "".join(f"{i * 0.1},{i % 2},{i % 2}\n" for i in range(12)))
     (d / "number.plan.json").write_text(json.dumps({"a": 5}))
     (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),

@@ -147,6 +147,13 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "a,label\n1,2\n", "badlabel.csv"))
 
 
+def test_load_csv_rejects_a_label_column_named_twice(tmp_path):
+    # read as a feature, the second copy would hand the models the labels
+    path = write(tmp_path, "x1,label,label\n0.5,1,1\n0.25,0,0\n", "twice.csv")
+    with pytest.raises(DatasetError, match="names the 'label' column more than once"):
+        load_csv(path)
+
+
 def test_complete_rows_paper_layout(paper_madelon):
     rows = paper_madelon.complete_rows()
     # samples 451..550 in the paper's 1-based numbering

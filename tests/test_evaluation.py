@@ -16,6 +16,7 @@ from gapnet.evaluation import (
     delong_test,
     five_number_summary,
     importance_report,
+    interpolate_tpr,
     metrics,
     permutation_importance,
     roc_curve,
@@ -124,6 +125,23 @@ def test_auc_invariant_under_monotone_transform(seed):
     assert auc(np.exp(3 * scores), labels) == pytest.approx(
         auc(scores, labels), abs=1e-12
     )
+
+
+TIED_SCORE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@given(st.lists(st.tuples(TIED_SCORE, st.integers(0, 1)), max_size=40), TIED_SCORE, TIED_SCORE)
+@settings(max_examples=200, deadline=None)
+def test_interpolate_tpr_is_the_upper_envelope(pairs, negative, positive):
+    scores, labels = zip(*pairs, (negative, 0), (positive, 1))
+    curve = roc_curve(np.array(scores), np.array(labels))
+    best = {}  # the highest TPR at each FPR of the curve
+    for f, t in zip(curve.fpr.tolist(), curve.tpr.tolist()):
+        best[f] = max(best.get(f, 0.0), t)
+    xs = sorted(best)
+    grid = np.r_[np.linspace(0.0, 1.0, 101), curve.fpr]
+    expected = np.interp(grid, xs, [best[x] for x in xs])
+    assert np.array_equal(interpolate_tpr(curve, grid), expected)
 
 
 def test_confusion_frozen_example():

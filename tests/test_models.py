@@ -687,6 +687,14 @@ MODEL_CORRUPTIONS = {
                 "finite stds > 0"),
     "infinite mean": ("mlp", _set(["normalization"], _stats([float("inf")], [1.0])),
                       "finite means"),
+    "string freeze_bodies": ("gapnet", _set(["freeze_bodies"], "no"),
+                             "freeze_bodies must be a JSON boolean, got 'no'"),
+    "string trainable": ("mlp", _set(["network", "layers", 0, "trainable"], "false"),
+                         "trainable must be a JSON boolean, got 'false'"),
+    "float dropout placement": ("mlp", _set(["network", "dropout", 0, "placement"], 1.0),
+                                "placement must be a JSON integer, got 1.0"),
+    "boolean dropout placement": ("mlp", _set(["network", "dropout", 0, "placement"], True),
+                                  "placement must be a JSON integer, got True"),
 }
 
 
