@@ -110,7 +110,8 @@ def load_csv(path, missing_token="NA", label_column="label"):
     read. A failure in any range reads the whole file again serially, so an
     error names the first bad record in file order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet may write first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

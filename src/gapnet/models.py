@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .clustering import FeatureCluster
 from .numerics import (
     AdamState,
     DenseLayer,
-    DropoutSpec,
     FlatBuffer,
     MlpNetwork,
     NonFiniteError,
@@ -96,8 +95,8 @@ def build_vanilla(n_features, hidden_multiplier=2, dropout_rate=0.5, rng=None):
         dense_layer(width, width, "relu", rng),
         dense_layer(width, 1, "sigmoid", rng),
     ]
-    dropout = [DropoutSpec(dropout_rate, placement=1)] if dropout_rate > 0 else []
-    return MlpNetwork(layers, dropout)
+    layers[1] = replace(layers[1], dropout=dropout_rate)
+    return MlpNetwork(layers)
 
 
 def build_subnet(cluster, hidden_multiplier=2, dropout_rate=0.5, rng=None):
@@ -269,18 +268,11 @@ def fuse(subnets, clusters, rng, freeze_bodies=True):
     """Drop each sub-network's output head and add a fresh fused output node."""
     if len(subnets) != len(clusters):
         raise TrainingError("need exactly one sub-network per cluster")
-    bodies = []
-    for net in subnets:
-        body_layers = [
-            DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-            for l in net.layers[:-1]
-        ]
-        body_dropout = [
-            DropoutSpec(s.rate, s.placement)
-            for s in net.dropout
-            if s.placement < len(body_layers)
-        ]
-        bodies.append(MlpNetwork(body_layers, body_dropout))
+    bodies = [
+        MlpNetwork([replace(l, weights=l.weights.copy(), biases=l.biases.copy())
+                    for l in net.layers[:-1]])
+        for net in subnets
+    ]
     width = sum(b.output_width for b in bodies)
     fusion = DenseLayer(glorot_init(width, 1, rng), np.zeros(1), "sigmoid")
     return GapNetModel(bodies, list(clusters), fusion, freeze_bodies=freeze_bodies)
@@ -297,10 +289,8 @@ def gapnet_gradients(model, caches, concat, scores, labels):
         offset = 0
         for body, cache in zip(model.bodies, caches):
             w = body.output_width
-            body_grads = body.backprop_from(cache, upstream[:, offset : offset + w])
-            for layer, (gw, gb) in zip(body.layers, body_grads):
-                if layer.trainable:
-                    grads.extend((gw, gb))
+            for pair in body.backprop_from(cache, upstream[:, offset : offset + w]):
+                grads.extend(pair)
             offset += w
     return grads
 
@@ -331,21 +321,17 @@ def fit_gapnet(model, X, y, cfg, rng):
             (f"body {k} layer {i}", layer)
             for k, body in enumerate(model.bodies)
             for i, layer in enumerate(body.layers)
-            if layer.trainable
         ]
     params = _pack(named)
     grads = FlatBuffer([v.shape for v in params.views], params.names)
     state = AdamState(learning_rate=cfg.learning_rate)
     full_batch = cfg.batch_size is None or cfg.batch_size >= n
     cached = full_batch and model.freeze_bodies and all(
-        s.rate == 0 or s.placement == len(body.layers) - 1
-        for body in model.bodies
-        for s in body.dropout
+        l.dropout == 0 for body in model.bodies for l in body.layers[:-1]
     )
     if cached:
         hidden = [cache.outputs for cache in model.forward(X)[0]]
-        specs = [body._dropout_for(len(body.layers) - 1) for body in model.bodies]
-        rates = [spec.rate if spec is not None else 0.0 for spec in specs]
+        rates = [body.layers[-1].dropout for body in model.bodies]
 
     def step(rows):
         if cached:
@@ -527,16 +513,28 @@ def _layer_from_json(obj):
 def _net_to_json(net):
     return {
         "layers": [_layer_to_json(l) for l in net.layers],
-        "dropout": [{"rate": s.rate, "placement": s.placement} for s in net.dropout],
+        "dropout": [
+            {"rate": l.dropout, "placement": i}
+            for i, l in enumerate(net.layers)
+            if l.dropout > 0
+        ],
     }
 
 
 def _net_from_json(obj):
-    return MlpNetwork(
-        [_layer_from_json(l) for l in obj["layers"]],
-        [DropoutSpec(s["rate"], _typed(s["placement"], int, "a dropout placement"))
-         for s in obj["dropout"]],
-    )
+    """The network of obj; each `dropout` entry sets the rate of the layer
+    at its placement."""
+    net = MlpNetwork([_layer_from_json(l) for l in obj["layers"]])
+    seen = set()
+    for entry in obj["dropout"]:
+        i = _typed(entry["placement"], int, "a dropout placement")
+        if not 0 <= i < len(net.layers):
+            raise ModelFileError(f"dropout placement {i} out of range")
+        if i in seen:
+            raise ModelFileError(f"dropout placement {i} named twice")
+        seen.add(i)
+        net.layers[i] = replace(net.layers[i], dropout=entry["rate"])
+    return net
 
 
 def save_model(model, path, feature_names=None, normalization=None):
@@ -624,8 +622,10 @@ def load_model(path):
     bias, layers that do not chain, an unknown activation, a body that does
     not fit its cluster, a `freeze_bodies` or layer `trainable` that is not
     a JSON boolean, a dropout `placement` that is not a JSON integer (true
-    and false are not), or a normalization whose mean and std are not
-    finite lists of one length per feature name with every std > 0.
+    and false are not), is not a layer index or is named twice (an entry
+    of rate 0 too), a dropout rate outside [0, 1), or a normalization whose
+    mean and std are not finite lists of one length per feature name with
+    every std > 0.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)

@@ -1,8 +1,9 @@
 """Dense-network math: layers, activations, loss, backprop, Adam, dropout.
 
 Everything operates on float64 numpy arrays. Batches are row-major
-(samples x features). Networks are plain stacks of dense layers with an
-optional inverted-dropout mask after selected layers.
+(samples x features). Networks are plain stacks of dense layers; a layer
+with a dropout rate above 0 applies an inverted-dropout mask to its output
+in training.
 
 Training passes a `Workspace` so that a step writes into preallocated arrays
 and keeps its parameters and gradients in `FlatBuffer`s; every other caller
@@ -175,10 +176,13 @@ class DenseLayer:
     biases: np.ndarray  # (fan_out,)
     activation: str = "relu"
     trainable: bool = True
+    dropout: float = 0.0  # probability of dropping an output unit in training
 
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
             raise NumericsError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise NumericsError(f"dropout rate must be in [0, 1), got {self.dropout}")
         if self.weights.ndim != 2 or self.biases.shape != self.weights.shape[1:]:
             raise NumericsError(
                 f"weights of shape {self.weights.shape} and biases of shape "
@@ -192,16 +196,6 @@ class DenseLayer:
     @property
     def fan_out(self):
         return self.weights.shape[1]
-
-
-@dataclass
-class DropoutSpec:
-    rate: float  # probability of dropping a unit, in [0, 1)
-    placement: int  # index of the layer this mask follows
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise NumericsError(f"dropout rate must be in [0, 1), got {self.rate}")
 
 
 def glorot_init(fan_in, fan_out, rng):
@@ -233,13 +227,9 @@ class Workspace:
 
     def __init__(self, net, rows):
         layers = net.layers
-        dropped = {s.placement for s in net.dropout if s.rate > 0}
 
-        def per_layer(keep=lambda i: True):
-            return [
-                np.empty((rows, l.fan_out)) if keep(i) else None
-                for i, l in enumerate(layers)
-            ]
+        def per_layer(keep=lambda l: True):
+            return [np.empty((rows, l.fan_out)) if keep(l) else None for l in layers]
 
         trainable = [i for i, l in enumerate(layers) if l.trainable]
         shapes, names = [], []
@@ -253,8 +243,8 @@ class Workspace:
         self.rows = rows
         self.ones = np.ones(rows)  # bias gradients are ones @ delta
         self.h = per_layer()  # pre-activation, overwritten in place by the activation
-        self.mask = per_layer(lambda i: i in dropped)
-        self.a = per_layer(lambda i: i in dropped)  # post-dropout output
+        self.mask = per_layer(lambda l: l.dropout > 0)
+        self.a = per_layer(lambda l: l.dropout > 0)  # post-dropout output
         self.delta = per_layer()  # dL/dh, turned into dL/dz in place
 
     def check(self, rows):
@@ -273,9 +263,9 @@ class ForwardCache:
 
 
 class MlpNetwork:
-    """A stack of dense layers with optional dropout after given layers."""
+    """A stack of dense layers; each applies its own dropout rate in training."""
 
-    def __init__(self, layers, dropout=()):
+    def __init__(self, layers):
         if not layers:
             raise NumericsError("a network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
@@ -284,10 +274,6 @@ class MlpNetwork:
                     f"layer widths do not chain: {a.fan_out} -> {b.fan_in}"
                 )
         self.layers = list(layers)
-        self.dropout = list(dropout)
-        for spec in self.dropout:
-            if not 0 <= spec.placement < len(self.layers):
-                raise NumericsError(f"dropout placement {spec.placement} out of range")
 
     @property
     def input_width(self):
@@ -301,12 +287,6 @@ class MlpNetwork:
         """Flat list of (weights, biases) pairs in layer order."""
         return [(layer.weights, layer.biases) for layer in self.layers]
 
-    def _dropout_for(self, index):
-        for spec in self.dropout:
-            if spec.placement == index:
-                return spec
-        return None
-
     def forward(self, batch, mode="infer", rng=None, workspace=None):
         """Run the network; in train mode draws and records dropout masks.
 
@@ -319,7 +299,7 @@ class MlpNetwork:
                 f"batch width {batch.shape[1] if batch.ndim == 2 else batch.shape} "
                 f"does not match network input width {self.input_width}"
             )
-        if mode == "train" and any(s.rate > 0 for s in self.dropout) and rng is None:
+        if mode == "train" and any(l.dropout > 0 for l in self.layers) and rng is None:
             raise NumericsError("train mode with dropout requires an rng")
         if workspace is not None:
             workspace.check(batch.shape[0])
@@ -331,10 +311,9 @@ class MlpNetwork:
             z += layer.biases
             h = _ACTIVATIONS[layer.activation](z, out=z)
             post.append(h)
-            spec = self._dropout_for(i)
-            if spec is not None and spec.rate > 0 and mode == "train":
+            if layer.dropout > 0 and mode == "train":
                 mask, out = (workspace.mask[i], workspace.a[i]) if workspace else (None, None)
-                masks[i] = dropout_mask(rng, spec.rate, h.shape, out=mask)
+                masks[i] = dropout_mask(rng, layer.dropout, h.shape, out=mask)
                 a = np.multiply(h, masks[i], out=out)
             else:
                 a = h

@@ -406,6 +406,35 @@ def test_forked_ranges_are_used_and_joined_in_file_order(tmp_path, forked_ranges
     assert_same_dataset(ds, *reference_load_csv(path.read_text(), "NA"))
 
 
+def with_byte_order_mark(tmp_path, label_first):
+    """A many_rows file that starts with a UTF-8 byte-order mark, as a
+    spreadsheet's "CSV UTF-8" writes it, and the text after the mark."""
+    text = many_rows()
+    if label_first:
+        rows = [line.split(",") for line in text.splitlines()]
+        text = "".join(",".join(r[-1:] + r[:-1]) + "\n" for r in rows)
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return path, text
+
+
+@pytest.mark.parametrize("label_first", [False, True])
+def test_a_byte_order_mark_is_not_read_on_a_serial_read(tmp_path, label_first):
+    path, text = with_byte_order_mark(tmp_path, label_first)
+    ds = serial_load(path)
+    assert ds.feature_names == ["a", "b"]
+    assert_same_dataset(ds, *reference_load_csv(text, "NA"))
+
+
+@pytest.mark.parametrize("label_first", [False, True])
+def test_a_byte_order_mark_is_not_read_on_forked_ranges(tmp_path, forked_ranges, label_first):
+    path, text = with_byte_order_mark(tmp_path, label_first)
+    ds = load_csv(path)
+    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
+    assert ds.feature_names == ["a", "b"]
+    assert_same_dataset(ds, *reference_load_csv(text, "NA"))
+
+
 @pytest.mark.parametrize("row", [38, 5])  # the last range, parsed here; a forked one
 @pytest.mark.parametrize("bad,message", [
     ("1,2,0,3", "expected 3 fields"),

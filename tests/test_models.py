@@ -59,9 +59,7 @@ def test_subnet_widths(size, hidden):
 def test_vanilla_activations_and_dropout():
     net = build_vanilla(10, dropout_rate=0.5)
     assert [l.activation for l in net.layers] == ["relu", "relu", "sigmoid"]
-    assert len(net.dropout) == 1
-    assert net.dropout[0].placement == 1
-    assert net.dropout[0].rate == 0.5
+    assert [l.dropout for l in net.layers] == [0.0, 0.5, 0.0]
 
 
 def fast_cfg(**kw):
@@ -534,11 +532,9 @@ def random_fused_pair(seed, freeze_bodies=True):
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_stage2_matches_reference_loop_at_any_shape(seed):
     (engine, reference), X, y = random_fused_pair(seed)
-    rates = {s.rate for b in engine.bodies for s in b.dropout} | {
-        0.0 for b in engine.bodies if not b.dropout}
-    assert rates == {0.0, 0.5}
+    assert {b.layers[-1].dropout for b in engine.bodies} == {0.0, 0.5}
     # a mask of this many units ends inside a raw word of the generator
-    assert any(len(X) * b.output_width % 4 for b in engine.bodies if b.dropout)
+    assert any(len(X) * b.output_width % 4 for b in engine.bodies if b.layers[-1].dropout)
     cfg = fast_cfg(epochs=7)
     rng_engine, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
     fit_gapnet(engine, X, y, cfg, rng_engine)
@@ -695,6 +691,11 @@ MODEL_CORRUPTIONS = {
                                 "placement must be a JSON integer, got 1.0"),
     "boolean dropout placement": ("mlp", _set(["network", "dropout", 0, "placement"], True),
                                   "placement must be a JSON integer, got True"),
+    "repeated dropout placement": ("mlp", _set(["network", "dropout"], [
+        {"rate": 0.5, "placement": 1}, {"rate": 0.0, "placement": 1}]),
+        "dropout placement 1 named twice"),
+    "dropout placement out of range": ("mlp", _set(["network", "dropout", 0, "placement"], 5),
+                                       "dropout placement 5 out of range"),
 }
 
 
@@ -713,9 +714,10 @@ def test_load_model_rejects_corrupt_files(tmp_path, name):
     special=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
     freeze=st.booleans(),
     versioned=st.booleans(),
+    rate=st.sampled_from([0.0, 0.5]),
 )
 @settings(max_examples=25, deadline=None)
-def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze, versioned):
+def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze, versioned, rate):
     rng = np.random.default_rng(seed)
     order = rng.permutation(sum(sizes)).tolist()  # clusters in any index order
     ends = np.cumsum(sizes).tolist()
@@ -723,20 +725,31 @@ def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze, v
         FeatureCluster(f"c{k}", order[end - size : end])
         for k, (size, end) in enumerate(zip(sizes, ends))
     ]
-    subnets = [build_subnet(c, rng=rng) for c in clusters]
+    subnets = [build_subnet(c, dropout_rate=rate, rng=rng) for c in clusters]
     model = fuse(subnets, clusters, rng, freeze_bodies=freeze)
-    weights = model.bodies[0].layers[0].weights.reshape(-1)
-    weights[: len(special)] = special[: weights.size]  # any finite float64
-    path = tmp_path_factory.mktemp("model") / "m.json"
-    save_model(model, path)
-    obj = json.loads(path.read_text())
-    assert obj["format_version"] == 1
-    if not versioned:  # as written before the field existed
-        del obj["format_version"]
-        path.write_text(json.dumps(obj))
-    loaded, names, stats = load_model(path)
-    assert (names, stats, loaded.freeze_bodies) == (None, None, freeze)
-    assert loaded.feature_indices == model.feature_indices
-    X = rng.standard_normal((7, model.input_width))
-    with np.errstate(over="ignore", invalid="ignore"):  # huge special weights
-        assert np.array_equal(loaded.predict(X), model.predict(X), equal_nan=True)
+    baseline = build_vanilla(sum(sizes), dropout_rate=rate, rng=rng)
+    dropout = [{"rate": 0.5, "placement": 1}] if rate else []
+    directory = tmp_path_factory.mktemp("model")
+    for m in (model, baseline):
+        weights = (m if m is baseline else m.bodies[0]).layers[0].weights
+        weights.reshape(-1)[: len(special)] = special[: weights.size]  # any finite float64
+        path, again = directory / "m.json", directory / "again.json"
+        save_model(m, path)
+        written = path.read_bytes()
+        obj = json.loads(written)
+        assert obj["format_version"] == 1
+        nets = [obj["network"]] if m is baseline else obj["bodies"]
+        assert [net["dropout"] for net in nets] == [dropout] * len(nets)
+        if not versioned:  # as written before the field existed
+            del obj["format_version"]
+            path.write_text(json.dumps(obj))
+        loaded, names, stats = load_model(path)
+        save_model(loaded, again)
+        assert again.read_bytes() == written
+        assert (names, stats) == (None, None)
+        if m is model:
+            assert loaded.freeze_bodies == freeze
+            assert loaded.feature_indices == model.feature_indices
+        X = rng.standard_normal((7, m.input_width))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge special weights
+            assert np.array_equal(loaded.predict(X), m.predict(X), equal_nan=True)

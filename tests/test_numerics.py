@@ -6,7 +6,6 @@ import pytest
 from gapnet.numerics import (
     AdamState,
     DenseLayer,
-    DropoutSpec,
     MlpNetwork,
     NumericsError,
     Workspace,
@@ -21,13 +20,13 @@ from gapnet.numerics import (
 )
 
 
-def make_net(widths, activations, seed=0, dropout=()):
+def make_net(widths, activations, seed=0):
     rng = np.random.default_rng(seed)
     layers = [
         dense_layer(a, b, act, rng)
         for (a, b), act in zip(zip(widths, widths[1:]), activations)
     ]
-    return MlpNetwork(layers, dropout)
+    return MlpNetwork(layers)
 
 
 def test_sigmoid_symmetry():
@@ -194,10 +193,8 @@ def test_glorot_rejects_degenerate_fans():
 
 
 def test_inverted_dropout_preserves_expectation():
-    net = MlpNetwork(
-        [DenseLayer(np.eye(4), np.zeros(4), "relu")],  # the identity on positive input
-        [DropoutSpec(0.5, placement=0)],
-    )
+    # the identity on positive input
+    net = MlpNetwork([DenseLayer(np.eye(4), np.zeros(4), "relu", dropout=0.5)])
     x = np.full((250_000, 4), 3.0)
     out = net.forward(x, mode="train", rng=np.random.default_rng(1)).outputs
     infer = net.forward(x[:1], mode="infer").outputs[0]
@@ -249,8 +246,8 @@ def test_dropout_mask_takes_one_raw_word_per_four_units(extra):
 
 
 def test_dropout_rate_must_be_below_one():
-    with pytest.raises(NumericsError):
-        DropoutSpec(1.0, 0)
+    with pytest.raises(NumericsError, match="dropout rate"):
+        DenseLayer(np.eye(2), np.zeros(2), dropout=1.0)
 
 
 def test_gradient_descent_decreases_loss_on_separable_toy():
