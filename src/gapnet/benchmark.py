@@ -3,7 +3,7 @@ models on fresh splits, then aggregate ROC/AUC statistics across runs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -109,26 +109,17 @@ def run_benchmark(ds, plan=None, cfg=None):
 def aggregate_benchmark(results, plan, cfg):
     model_names = ["gapnet", "vanilla"] + [c.name for c in plan.clusters]
     report = {"models": {}, "per_run": results}
-    pooled = {name: [] for name in model_names}
-    pooled_labels = []
-    curves = {name: [] for name in model_names}
-    aucs = {name: [] for name in model_names}
-    per_run_delong = []
-    for res in results:
-        labels = np.asarray(res["labels"])
-        pooled_labels.extend(res["labels"])
-        for name in model_names:
-            s = np.asarray(res["scores"][name])
-            pooled[name].extend(res["scores"][name])
-            aucs[name].append(auc(s, labels))
-            curves[name].append(roc_curve(s, labels))
-        d = delong_test(res["scores"]["gapnet"], res["scores"]["vanilla"], labels)
-        per_run_delong.append({"run": res["run"], "z": d.z, "p": d.p})
-    pooled_labels = np.asarray(pooled_labels)
+    labels = [np.asarray(res["labels"]) for res in results]
+    pooled_labels = np.concatenate(labels)
+    pooled = {}
     for name in model_names:
-        agg = aggregate_runs(curves[name], aucs[name])
-        counts = confusion_at(np.asarray(pooled[name]), pooled_labels)
-        rep = metrics(counts)
+        scores = [np.asarray(res["scores"][name]) for res in results]
+        agg = aggregate_runs(
+            [roc_curve(s, y) for s, y in zip(scores, labels)],
+            [auc(s, y) for s, y in zip(scores, labels)],
+        )
+        pooled[name] = np.concatenate(scores)
+        counts = confusion_at(pooled[name], pooled_labels)
         report["models"][name] = {
             "auc_mean": agg.auc_mean,
             "auc_std": agg.auc_std,
@@ -143,16 +134,13 @@ def aggregate_benchmark(results, plan, cfg):
                 "edges": agg.histogram_edges.tolist(),
                 "counts": agg.histogram_counts.tolist(),
             },
-            "confusion": {
-                "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
-            },
-            "metrics": {
-                "sensitivity": rep.sensitivity,
-                "specificity": rep.specificity,
-                "accuracy": rep.accuracy,
-                "precision": rep.precision,
-            },
+            "confusion": asdict(counts),
+            "metrics": asdict(metrics(counts)),
         }
+    per_run_delong = []
+    for res, y in zip(results, labels):
+        d = delong_test(res["scores"]["gapnet"], res["scores"]["vanilla"], y)
+        per_run_delong.append({"run": res["run"], "z": d.z, "p": d.p})
     pooled_d = delong_test(pooled["gapnet"], pooled["vanilla"], pooled_labels)
     report["delong"] = {
         "pooled": {

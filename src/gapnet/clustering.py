@@ -133,7 +133,8 @@ def load_plan(path, feature_names):
     """Read a plan file: JSON object mapping cluster name -> feature name list.
 
     A cluster name may appear once, and may not be `vanilla` or `gapnet`,
-    the names of the benchmark's two other models.
+    the names of the benchmark's two other models. A leading UTF-8
+    byte-order mark is dropped, as `load_csv` drops it.
     """
 
     def unique_keys(pairs):
@@ -144,7 +145,7 @@ def load_plan(path, feature_names):
             obj[key] = value
         return obj
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         raw = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(raw, dict) or not raw:
         raise ClusteringError(f"{path}: expected a non-empty cluster mapping")

@@ -109,12 +109,12 @@ def build_subnet(cluster, hidden_multiplier=2, dropout_rate=0.5, rng=None):
 def _pack(named_layers):
     """Move the layers' weights and biases into one FlatBuffer. Each layer
     keeps C-ordered views of it, so training updates the layers in place."""
-    arrays, names = [], []
-    for name, layer in named_layers:
-        arrays += [layer.weights, layer.biases]
-        names += [f"{name} weights", f"{name} biases"]
-    flat = FlatBuffer.holding(arrays, names)
+    flat = FlatBuffer(
+        [a.shape for _, l in named_layers for a in (l.weights, l.biases)],
+        [f"{name} {part}" for name, _ in named_layers for part in ("weights", "biases")],
+    )
     for k, (_, layer) in enumerate(named_layers):
+        flat.views[2 * k][...], flat.views[2 * k + 1][...] = layer.weights, layer.biases
         layer.weights, layer.biases = flat.views[2 * k], flat.views[2 * k + 1]
     return flat
 
@@ -189,7 +189,8 @@ class GapNetModel:
     trainable sigmoid output node over their concatenated hidden outputs.
     Its input is the block of the `feature_indices` columns, in that order;
     `columns[k]` indexes body k's columns of it. `head` is the one-layer
-    network of the `fusion` layer, which it shares."""
+    network of the `fusion` layer, which it shares. No feature may be in
+    two clusters."""
 
     def __init__(self, bodies, clusters, fusion, freeze_bodies=True):
         expected = sum(b.output_width for b in bodies)
@@ -202,6 +203,9 @@ class GapNetModel:
         widths = [b.input_width for b in bodies]
         if widths != [len(c.features) for c in clusters]:
             raise NumericsError(f"body input widths {widths} do not match the cluster sizes")
+        features = [j for c in clusters for j in c.features]
+        if len(set(features)) != len(features):
+            raise NumericsError("a feature appears in two clusters")
         # index arrays, not slices: X[:, cols] is the F-ordered copy the
         # bodies' GEMMs have always been given
         ends = np.cumsum(widths, dtype=int)
@@ -265,7 +269,8 @@ class GapNetModel:
 
 
 def fuse(subnets, clusters, rng, freeze_bodies=True):
-    """Drop each sub-network's output head and add a fresh fused output node."""
+    """Drop each sub-network's output head and add a fresh fused output node.
+    Clusters that share a feature raise NumericsError, as in GapNetModel."""
     if len(subnets) != len(clusters):
         raise TrainingError("need exactly one sub-network per cluster")
     bodies = [
@@ -390,20 +395,18 @@ def train_stage1(ds, plan, split, cfg):
     pool, one BLAS thread each; fits of one tile or fewer, whose steps are
     bound by the interpreter lock, run on the calling thread in plan order
     meanwhile. Each fit draws only from its own stream, so the nets do not
-    depend on the pool size. When fits fail, the first failure in plan order
-    is raised.
+    depend on the pool size. Every fit is set up before any trains, so a
+    cluster with no training rows raises before any training. When fits
+    fail, the first failure in plan order is raised.
     """
-    fits, setup_failure = [], None
-    for k, cluster in enumerate(plan.clusters):
-        try:
-            fits.append(_fit_setup(
-                ds, split, cfg, cluster.features, k,
-                f"cluster {cluster.name!r} has no training rows after test exclusion",
-            ))
-        except TrainingError as exc:
-            setup_failure = exc  # a serial loop trains the fits before it first
-            break
-    nets, failures = [None] * len(fits), [None] * len(fits) + [setup_failure]
+    fits = [
+        _fit_setup(
+            ds, split, cfg, cluster.features, k,
+            f"cluster {cluster.name!r} has no training rows after test exclusion",
+        )
+        for k, cluster in enumerate(plan.clusters)
+    ]
+    nets, failures = [None] * len(fits), [None] * len(fits)
 
     def fit(k):
         try:
@@ -592,6 +595,8 @@ def _model_from_json(obj):
         )
     elif obj["kind"] == "mlp":
         model = _net_from_json(obj["network"])
+        if (model.output_width, model.layers[-1].activation) != (1, "sigmoid"):
+            raise ModelFileError("the baseline's output layer must be one sigmoid unit")
     else:
         raise ModelFileError(f"unknown model kind {obj['kind']!r}")
     names, stats = obj.get("feature_names"), None
@@ -619,13 +624,14 @@ def load_model(path):
     Raises ModelFileError, a ValueError, when the file does not describe a
     model: a format_version other than 1 (a missing one reads as 1), a
     wrong kind, a missing key, a non-numeric array, a non-finite weight or
-    bias, layers that do not chain, an unknown activation, a body that does
-    not fit its cluster, a `freeze_bodies` or layer `trainable` that is not
-    a JSON boolean, a dropout `placement` that is not a JSON integer (true
-    and false are not), is not a layer index or is named twice (an entry
-    of rate 0 too), a dropout rate outside [0, 1), or a normalization whose
-    mean and std are not finite lists of one length per feature name with
-    every std > 0.
+    bias, layers that do not chain, an unknown activation, a baseline
+    network or fusion node that does not end in one sigmoid unit, a body
+    that does not fit its cluster, a feature in two clusters, a
+    `freeze_bodies` or layer `trainable` that is not a JSON boolean, a
+    dropout `placement` that is not a JSON integer (true and false are
+    not), is not a layer index or is named twice (an entry of rate 0 too),
+    a dropout rate outside [0, 1), or a normalization whose mean and std
+    are not finite lists of one length per feature name with every std > 0.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)

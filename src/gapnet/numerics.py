@@ -157,14 +157,6 @@ class FlatBuffer:
         ]
         self.names = list(names)
 
-    @classmethod
-    def holding(cls, arrays, names):
-        """A buffer initialised with copies of `arrays`."""
-        buf = cls([a.shape for a in arrays], names)
-        for view, a in zip(buf.views, arrays):
-            view[...] = a
-        return buf
-
     def name_at(self, index):
         """Name of the array that holds element `index` of `data`."""
         return self.names[int(np.searchsorted(self.ends, index, side="right"))]

@@ -39,10 +39,10 @@ def gapnet_model(fusion_units=1, activation="sigmoid", weight=1.0):
     }
 
 
-def baseline_model(inputs, normalization_width=None):
+def baseline_model(inputs, normalization_width=None, units=1):
     """A one-layer baseline model file with no feature names."""
-    layer = {"weights": [[1.0]] * inputs, "biases": [0.0], "activation": "sigmoid",
-             "trainable": True}
+    layer = {"weights": [[1.0] * units] * inputs, "biases": [0.0] * units,
+             "activation": "sigmoid", "trainable": True}
     model = {"kind": "mlp", "network": {"layers": [layer], "dropout": []}}
     if normalization_width is not None:
         model["normalization"] = {"mean": [0.0] * normalization_width,
@@ -71,6 +71,9 @@ CASES = {
         ["importance", "{dir}/relu.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
     "nan fusion weight": (
         ["importance", "{dir}/nan.model.json", "{dir}/few.csv"], 2, "non-finite weight or bias"),
+    "two-unit baseline output": (
+        ["importance", "{dir}/wide-baseline.model.json", "{dir}/few.csv", "--missing-token", ""],
+        2, "one sigmoid unit"),
     "baseline narrower than the dataset": (
         ["importance", "{dir}/narrow.model.json", "{dir}/few.csv", "--missing-token", ""],
         2, "model reads 1 features, the dataset has 2"),
@@ -126,6 +129,7 @@ def inputs(tmp_path_factory):
                         ("relu", gapnet_model(activation="relu")),
                         ("nan", gapnet_model(weight=float("nan"))),
                         ("narrow", baseline_model(1)),
+                        ("wide-baseline", baseline_model(2, units=2)),
                         ("narrow-stats", baseline_model(2, normalization_width=1))):
         (d / f"{name}.model.json").write_text(json.dumps(model))
     return d

@@ -282,3 +282,12 @@ def test_plan_file_rejects_a_model_name(tmp_path, name):
     path.write_text(json.dumps({"a": ["x1"], name: ["x2"]}), encoding="utf-8")
     with pytest.raises(ClusteringError, match=f"cluster name '{name}' is reserved"):
         load_plan(path, ["x1", "x2"])
+
+
+def test_plan_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    text = json.dumps({"a": ["x2", "x1"], "b": ["x3"]})
+    names = ["x1", "x2", "x3"]
+    (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.json").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_plan(tmp_path / "bom.json", names) == load_plan(tmp_path / "plain.json", names)

@@ -33,7 +33,7 @@ from gapnet.models import (
     train_vanilla,
     _train_rows_for,
 )
-from gapnet.numerics import AdamState, MlpNetwork, adam_step, sigmoid
+from gapnet.numerics import AdamState, MlpNetwork, NumericsError, adam_step, sigmoid
 from gapnet.evaluation import auc, importance_report
 from conftest import make_dataset
 
@@ -128,6 +128,13 @@ def test_fuse_single_subnet():
     cluster = FeatureCluster("a", [0, 1, 2])
     model = fuse([build_subnet(cluster, rng=rng)], [cluster], rng)
     assert model.fusion.fan_in == 6
+
+
+def test_fuse_rejects_clusters_that_share_a_feature():
+    rng = np.random.default_rng(0)
+    clusters = [FeatureCluster("a", [0, 1]), FeatureCluster("b", [1, 2])]
+    with pytest.raises(NumericsError, match="a feature appears in two clusters"):
+        fuse([build_subnet(c, rng=rng) for c in clusters], clusters, rng)
 
 
 def test_freezing_keeps_bodies_bit_identical(paper_madelon):
@@ -436,12 +443,13 @@ def test_tiled_stage1_fits_overlap_with_the_same_bits(monkeypatch):
 
 def test_overlapped_stage1_raises_the_first_failure_in_plan_order(monkeypatch):
     ds, plan, s = tiled_stage1_data(monkeypatch)
-    spy_fits(monkeypatch, 2)
+    seen = spy_fits(monkeypatch, 2)
     held_out = DataSplit(train_rows=np.arange(16, 60), test_rows=np.arange(16))
     with pytest.raises(
         TrainingError, match="^cluster 'cluster_3' has no training rows after test exclusion$"
     ):
         train_stage1(ds, plan, held_out, fast_cfg())
+    assert seen == []  # every fit is set up before any trains
     # cluster_2's pooled fit fails before cluster_3's on the calling thread
     seen = spy_fits(monkeypatch, 2, fail_widths=(3, 1))
     with pytest.raises(TrainingError, match="^fit of 3 features failed$"):
@@ -613,12 +621,15 @@ def _drop(path):
     return _at(path, lambda parent, key: parent.__delitem__(key))
 
 
-def _widen_fusion(obj):
-    """A fusion layer of two output units."""
-    fusion = obj["fusion"]
-    fusion["weights"] = [row * 2 for row in fusion["weights"]]
-    fusion["biases"] = [0.0, 0.0]
-    return obj
+def _widen(path):
+    """A corruption that gives the layer at a JSON path two output units."""
+
+    def widen(parent, key):
+        layer = parent[key]
+        layer["weights"] = [row * 2 for row in layer["weights"]]
+        layer["biases"] = [0.0, 0.0]
+
+    return _at(path, widen)
 
 
 def _stats(mean, std):
@@ -657,8 +668,13 @@ MODEL_CORRUPTIONS = {
     "body wider than cluster": ("gapnet", _set(["clusters", 0, "features"], [3]),
                                 "do not match the cluster sizes"),
     "fusion of wrong width": ("gapnet", _drop(["bodies", 0]), "fusion input width"),
-    "two-unit fusion": ("gapnet", _widen_fusion, "one sigmoid unit"),
+    "two-unit fusion": ("gapnet", _widen(["fusion"]), "one sigmoid unit"),
     "relu fusion": ("gapnet", _set(["fusion", "activation"], "relu"), "one sigmoid unit"),
+    "two-unit baseline output": ("mlp", _widen(["network", "layers", 2]), "one sigmoid unit"),
+    "relu baseline output": ("mlp", _set(["network", "layers", 2, "activation"], "relu"),
+                             "one sigmoid unit"),
+    "clusters share a feature": ("gapnet", _set(["clusters", 1, "features"], [0, 3]),
+                                 "a feature appears in two clusters"),
     "fractional feature index": ("gapnet", _set(["clusters", 1, "features"], [0, 2.5]),
                                  "not an integer"),
     "dropout rate of 1": ("mlp", _set(["network", "dropout", 0, "rate"], 1.0),

@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (arguments to gapnet or to a script of the checkout, reads a CSV)
 COMMANDS = [
     (["synth", "--paper-madelon", "--seed", "1", "--out", "madelon.csv"], False),
+    (["clusters", "madelon.csv", "--out", "clusters.json"], True),
     (["train", "madelon.csv", "--epochs", "60", "--seed", "0", "--out", "train"], True),
     (["importance", "train/vanilla.model.json", "madelon.csv", "--repeats", "2",
       "--out", "train/vanilla.importance.json"], True),
