@@ -57,14 +57,6 @@ def _write_json(obj, path):
     return text
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _config_hash(config):
     blob = json.dumps(config, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -221,8 +213,8 @@ def cmd_train(args):
     # inputs by content and no output path, as in report.json's config_hash:
     # one run gives the same report from any directory
     config = {k: v for k, v in vars(args).items() if k not in ("func", "dataset", "plan", "out")}
-    config["dataset_sha256"] = _sha256(args.dataset)
-    config["plan_sha256"] = _sha256(args.plan) if args.plan else None
+    config["dataset_sha256"] = ds_mod.file_sha256(args.dataset)
+    config["plan_sha256"] = ds_mod.file_sha256(args.plan) if args.plan else None
     report = {
         "config": config,
         "version": __version__,
@@ -267,9 +259,9 @@ def cmd_benchmark(args):
     config_snapshot = {
         "command": "benchmark",
         "dataset": str(args.dataset),
-        "dataset_sha256": _sha256(args.dataset),
+        "dataset_sha256": ds_mod.file_sha256(args.dataset),
         "plan_file": args.plan,
-        "plan_sha256": _sha256(args.plan) if args.plan else None,
+        "plan_sha256": ds_mod.file_sha256(args.plan) if args.plan else None,
         "benchmark": vars(cfg).copy(),
         "version": __version__,
     }

@@ -6,13 +6,17 @@ surface immediately, but all code must consult ``present`` first.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import hashlib
 import io
+import json
 import os
 import signal
 import struct
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -23,6 +27,10 @@ from .numerics import usable_cpus
 # Body bytes per forked range reader: below twice this a file is read
 # serially, as a fork and the pipe back cost more than they save.
 RANGE_BYTES = 1 << 20
+
+# Parsed-cell cache entries kept; writing one deletes the least recently used
+# beyond this many (each holds 8 bytes per cell).
+CACHE_ENTRIES = 8
 
 # A missing cell parses as this NaN, whose payload float() never produces,
 # so one compare of the bits finds every missing cell.
@@ -109,6 +117,10 @@ def load_csv(path, missing_token="NA", label_column="label"):
     that forked readers parse (`_forked_read`), with the bits of a serial
     read. A failure in any range reads the whole file again serially, so an
     error names the first bad record in file order.
+
+    The parsed cells of a file are kept in a cache (`_cached_parse`), so a
+    later read of the same bytes with the same arguments skips the parse.
+    Every check after the parse runs on every read.
     """
     # utf-8-sig drops the byte-order mark a spreadsheet may write first
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -128,9 +140,12 @@ def load_csv(path, missing_token="NA", label_column="label"):
             raise DatasetError(f"{path}: duplicate feature names {dupes}")
         parse = functools.partial(_parse_rows, path=path, header=header,
                                   label_pos=label_pos, token=missing_token)
-        cells = _forked_read(path, parse)
-        if cells is None:
-            cells = parse(reader)
+
+        def read():
+            cells = _forked_read(path, parse)
+            return parse(reader) if cells is None else cells
+
+        cells = _cached_parse(path, [missing_token, label_column], len(header), read)
     if not len(cells):
         raise DatasetError(f"{path}: no data rows")
     missing = np.delete(cells.view(np.uint64) == _MISSING_BITS, label_pos, axis=1)
@@ -142,6 +157,76 @@ def load_csv(path, missing_token="NA", label_column="label"):
         present=~missing,
         labels=cells[:, label_pos].astype(np.int64),
     )
+
+
+def file_sha256(path):
+    """The hex sha256 of the bytes of the file at path."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _cache_dir():
+    """$XDG_CACHE_HOME/gapnet, or ~/.cache/gapnet when that is unset or
+    relative (as the XDG base directory spec asks)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "gapnet")
+
+
+def _cached_parse(path, arguments, width, read):
+    """`read()`, the (n, width) cells of the file at path, or the cells a
+    past read stored for the same file bytes, `arguments` and parser.
+
+    An entry is one .npy file named by the sha256 of the file's sha256,
+    `arguments` and this module's sha256, so a changed parser never reads
+    another's entries. An entry is used only when it is a C-ordered, 2-D,
+    native float64 array `width` columns wide, and is written only after
+    `read()` returned and only when the file still has the bytes the key was
+    made from. The cache can only miss: any OSError, ValueError or EOFError
+    from it reads the file.
+    """
+    cache_errors = (OSError, ValueError, EOFError)
+    entry = None
+    try:
+        digest = file_sha256(path)
+        key = json.dumps([digest, *arguments, file_sha256(__file__)])
+        entry = os.path.join(_cache_dir(), hashlib.sha256(key.encode()).hexdigest() + ".npy")
+        with open(entry, "rb") as fh:
+            cells = np.lib.format.read_array(fh, allow_pickle=False)
+        if (cells.ndim == 2 and cells.dtype == np.float64 and cells.shape[1] == width
+                and cells.flags.c_contiguous):
+            os.utime(entry)  # the mtime orders the evictions
+            return cells
+    except cache_errors:
+        pass
+    cells = read()
+    if entry is not None:
+        with contextlib.suppress(*cache_errors):
+            if file_sha256(path) == digest:
+                _store_entry(entry, cells)
+    return cells
+
+
+def _store_entry(entry, cells):
+    """Write cells to the cache file entry atomically, then delete the least
+    recently used entries beyond CACHE_ENTRIES."""
+    cache = os.path.dirname(entry)
+    os.makedirs(cache, exist_ok=True)
+    fd, temp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            np.lib.format.write_array(fh, cells, allow_pickle=False)
+        os.replace(temp, entry)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    entries = sorted(os.scandir(cache), key=lambda e: e.stat().st_mtime_ns, reverse=True)
+    for old in entries[CACHE_ENTRIES:]:
+        os.unlink(old.path)
 
 
 def _parse_rows(rows, path, header, label_pos, token):

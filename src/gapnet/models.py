@@ -184,6 +184,13 @@ def fit_network(net, X, y, cfg, rng):
     return net
 
 
+def _check_disjoint(clusters):
+    """Raise NumericsError when a feature is in two of the clusters."""
+    features = [j for c in clusters for j in c.features]
+    if len(set(features)) != len(features):
+        raise NumericsError("a feature appears in two clusters")
+
+
 class GapNetModel:
     """Fused model: frozen (or fine-tunable) sub-network bodies plus one
     trainable sigmoid output node over their concatenated hidden outputs.
@@ -203,9 +210,7 @@ class GapNetModel:
         widths = [b.input_width for b in bodies]
         if widths != [len(c.features) for c in clusters]:
             raise NumericsError(f"body input widths {widths} do not match the cluster sizes")
-        features = [j for c in clusters for j in c.features]
-        if len(set(features)) != len(features):
-            raise NumericsError("a feature appears in two clusters")
+        _check_disjoint(clusters)
         # index arrays, not slices: X[:, cols] is the F-ordered copy the
         # bodies' GEMMs have always been given
         ends = np.cumsum(widths, dtype=int)
@@ -451,7 +456,9 @@ def train_stage2(model, ds, split, cfg):
 
 
 def train_gapnet(ds, plan, split, cfg):
-    """Both stages: sub-networks, fuse, then fusion training."""
+    """Both stages: sub-networks, fuse, then fusion training. A plan whose
+    clusters share a feature raises NumericsError before any fit trains."""
+    _check_disjoint(plan.clusters)
     subnets = train_stage1(ds, plan, split, cfg)
     model = fuse(subnets, plan.clusters, _stream(cfg, 1000), freeze_bodies=cfg.freeze_bodies)
     train_stage2(model, ds, split, cfg)

@@ -5,6 +5,15 @@ from gapnet.dataset import GappedDataset
 from gapnet.synth import MadelonConfig, generate_madelon, inject_gaps, paper_gap_pattern
 
 
+@pytest.fixture(autouse=True)
+def parsed_cell_cache(tmp_path_factory, monkeypatch):
+    """A fresh, empty CSV cache directory for each test, so that no test
+    reads another's entries or writes under the real home."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "gapnet"
+
+
 @pytest.fixture(scope="session")
 def paper_madelon():
     """The 1000x40 benchmark with the published gap pattern."""

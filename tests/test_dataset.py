@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -333,6 +334,8 @@ def test_forked_ranges_read_the_bits_of_a_per_cell_reader(
     path = tmp_path_factory.mktemp("ranges") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
+        # a fresh cache for each example, so that its load parses
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         mp.setattr(dataset, "RANGE_BYTES", range_bytes)
         mp.setattr(dataset, "usable_cpus", lambda: cpus)
         parses = count_parent_parses(mp)
@@ -504,3 +507,151 @@ def test_cases_that_must_not_fork_read_serially(tmp_path, monkeypatch, case):
             thread.join(timeout=10)
     assert not thread.is_alive()
     assert_same_dataset(ds, *reference_load_csv(text, "NA"))
+
+
+# --- the parsed-cell cache ------------------------------------------------------
+
+
+def entries(cache):
+    return sorted(cache.glob("*")) if cache.exists() else []
+
+
+def test_a_hit_neither_forks_nor_parses_and_keeps_every_bit(
+        tmp_path, forked_ranges, parsed_cell_cache):
+    text = many_rows().replace("\n1.5,,1\n", "\n-0.0,nan,1\n")
+    text = text.replace("\n2.5,,0\n", "\n5e-324,inf,0\n")
+    path = write(tmp_path, text)
+    cold = load_csv(path)
+    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
+    assert len(entries(parsed_cell_cache)) == 1
+    warm = load_csv(path)
+    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
+    assert warm.feature_names == cold.feature_names
+    assert np.array_equal(warm.values.view(np.uint64), cold.values.view(np.uint64))
+    assert np.array_equal(warm.present, cold.present)
+    assert np.array_equal(warm.labels.view(np.uint64), cold.labels.view(np.uint64))
+    assert_same_dataset(warm, *reference_load_csv(text, "NA"))
+
+
+def test_other_read_arguments_miss(tmp_path, parsed_cell_cache):
+    path = write(tmp_path, "a,b,label\n1,?,0\n3,2.5,1\n")
+    assert load_csv(path, missing_token="?").present.tolist() == [[True, False], [True, True]]
+    with pytest.raises(DatasetError, match=r":2: cannot parse '\?' in column 'b'$"):
+        load_csv(path)
+    path = write(tmp_path, "a,b,label\n1,0,0\n3,2.5,1\n")
+    load_csv(path)
+    with pytest.raises(DatasetError, match=r":3: label must be 0 or 1, got '2.5'$"):
+        load_csv(path, label_column="b")
+    assert len(entries(parsed_cell_cache)) == 2
+
+
+def test_another_parser_misses(tmp_path, monkeypatch, parsed_cell_cache):
+    path = write(tmp_path, "a,b,label\n1,2,0\n3,4,1\n")
+    parses = count_parent_parses(monkeypatch)
+    load_csv(path)
+    edited = tmp_path / "dataset.py"
+    edited.write_bytes(Path(dataset.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(dataset, "__file__", str(edited))
+    load_csv(path)
+    assert len(parses) == 2 and len(entries(parsed_cell_cache)) == 2
+
+
+def test_an_edited_file_misses(tmp_path, parsed_cell_cache):
+    path = write(tmp_path, "a,b,label\n1,2,0\n3,4,1\n")
+    load_csv(path)
+    path.write_text("a,b,label\n1,2,0\n3,5,1\n", encoding="utf-8")
+    assert load_csv(path).values[1].tolist() == [3.0, 5.0]
+    assert len(entries(parsed_cell_cache)) == 2
+
+
+def test_a_file_edited_during_its_parse_stores_no_entry(tmp_path, monkeypatch, parsed_cell_cache):
+    path = write(tmp_path, "a,b,label\n1,2,0\n3,4,1\n")
+    parse = dataset._parse_rows
+
+    def editing(*args, **kwargs):
+        cells = parse(*args, **kwargs)
+        path.write_text("a,b,label\n1,2,0\n3,5,1\n", encoding="utf-8")
+        return cells
+
+    monkeypatch.setattr(dataset, "_parse_rows", editing)
+    assert load_csv(path).values[1].tolist() == [3.0, 4.0]
+    assert entries(parsed_cell_cache) == []
+
+
+def rewrite_entry(entry, how):
+    cells = np.load(entry)
+    if how == "truncated":
+        entry.write_bytes(entry.read_bytes()[:-9])
+    elif how == "empty":
+        entry.write_bytes(b"")
+    elif how == "not an array":
+        entry.write_bytes(b"a,b,label\n")
+    elif how == "one column short":
+        np.save(entry, cells[:, 1:])
+    elif how == "big-endian":
+        np.save(entry, cells.astype(">f8"))
+    elif how == "float32":
+        np.save(entry, cells.astype(np.float32))
+    elif how == "one-dimensional":
+        np.save(entry, cells.reshape(-1))
+    elif how == "Fortran order":
+        np.save(entry, np.asfortranarray(cells))
+    elif how == "pickled objects":
+        np.save(entry, cells.astype(object), allow_pickle=True)
+    else:
+        np.savez(entry.with_suffix(""), cells)
+        entry.with_suffix(".npz").replace(entry)
+
+
+@pytest.mark.parametrize("how", [
+    "truncated", "empty", "not an array", "one column short", "big-endian", "float32",
+    "one-dimensional", "Fortran order", "pickled objects", "npz archive",
+])
+def test_a_bad_entry_is_a_miss(tmp_path, capsys, parsed_cell_cache, how):
+    path = write(tmp_path, many_rows())
+    expected = reference_load_csv(path.read_text(), "NA")
+    load_csv(path)
+    [entry] = entries(parsed_cell_cache)
+    rewrite_entry(entry, how)
+    for _ in range(2):  # the miss, then a hit on the entry it stored again
+        assert_same_dataset(load_csv(path), *expected)
+    assert entries(parsed_cell_cache) == [entry]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("where", ["a file", "a file's child"])
+def test_an_unusable_cache_dir_still_reads_the_file(tmp_path, monkeypatch, capsys, where):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    home = blocker if where == "a file" else blocker / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    path = write(tmp_path, many_rows())
+    for _ in range(2):
+        assert_same_dataset(load_csv(path), *reference_load_csv(path.read_text(), "NA"))
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_file_that_fails_to_parse_stores_nothing(tmp_path, parsed_cell_cache):
+    path = write(tmp_path, many_rows(bad=(5, "1, x ,1")))
+    for _ in range(2):
+        with pytest.raises(DatasetError) as error:
+            load_csv(path)
+        assert str(error.value) == f"{path}:7: cannot parse 'x' in column 'b'"
+    assert entries(parsed_cell_cache) == []
+
+
+def test_the_cache_keeps_the_most_recently_used_entries(tmp_path, parsed_cell_cache):
+    paths, named = [], []
+    for i in range(dataset.CACHE_ENTRIES):
+        paths.append(write(tmp_path, f"a,label\n{i},0\n", name=f"{i}.csv"))
+        load_csv(paths[-1])
+        [new] = set(entries(parsed_cell_cache)) - set(named)
+        named.append(new)
+    for age, entry in enumerate(named):  # file 0's entry the oldest
+        os.utime(entry, ns=(age * 10**9, age * 10**9))
+    assert load_csv(paths[0]).values[0, 0] == 0.0  # a hit makes it the newest
+    for i in range(dataset.CACHE_ENTRIES, dataset.CACHE_ENTRIES + 2):
+        load_csv(write(tmp_path, f"a,label\n{i},0\n", name=f"{i}.csv"))
+    kept = set(entries(parsed_cell_cache))
+    assert len(kept) == dataset.CACHE_ENTRIES
+    assert named[0] in kept and not {named[1], named[2]} & kept

@@ -457,6 +457,15 @@ def test_overlapped_stage1_raises_the_first_failure_in_plan_order(monkeypatch):
     assert len(seen) == 3
 
 
+def test_train_gapnet_rejects_clusters_that_share_a_feature_before_any_fit(monkeypatch):
+    ds = make_dataset(np.random.default_rng(0).standard_normal((200, 4)))
+    plan = ClusterPlan([FeatureCluster("a", [0, 1]), FeatureCluster("b", [1, 2])])
+    seen = spy_fits(monkeypatch, 1)
+    with pytest.raises(NumericsError, match="^a feature appears in two clusters$"):
+        train_gapnet(ds, plan, split(ds, 0.2, np.random.default_rng(0)), fast_cfg())
+    assert seen == []
+
+
 def test_paper_madelon_stage1_starts_no_pool(paper_madelon, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")

@@ -4,9 +4,12 @@
 
 runs the commands in COMMANDS with the code of the checkout this file sits
 in, in a new temporary directory, with one BLAS thread. Each command that
-reads a CSV gets `--missing-token ""`. It then prints one `sha256  file`
-line per output file, in path order. manifest.json is hashed without its
-timestamp line, the one output that differs between two runs.
+reads a CSV gets `--missing-token ""`. The commands share a CSV cache
+(XDG_CACHE_HOME) in the same temporary directory: the first read of each
+CSV parses it, the later reads load the cached cells, and no cache entry of
+the user's is read. It then prints one `sha256  file` line per output file,
+in path order. manifest.json is hashed without its timestamp line, the one
+output that differs between two runs.
 
 Two checkouts wrote the same bytes when their printouts are equal. To get
 the printout of another commit, copy this file into a checkout of it and
@@ -43,15 +46,16 @@ COMMANDS = [
 _ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run(args, reads_csv, cwd):
-    """Run one command in cwd; exit with its output when it fails."""
+def run(args, reads_csv, cwd, cache):
+    """Run one command in cwd with its CSV cache under cache; exit with its
+    output when it fails."""
     if args[0].endswith(".py"):
         command = [sys.executable, str(ROOT / args[0]), *args[1:]]
     else:
         command = [sys.executable, "-m", "gapnet.cli", *args]
     if reads_csv:
         command += ["--missing-token", ""]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(cache)}
     env.update(dict.fromkeys(_ONE_THREAD, "1"))
     done = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -70,10 +74,12 @@ def digest(path):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
+        out, cache = Path(tmp, "out"), Path(tmp, "cache")
+        out.mkdir()
         for args, reads_csv in COMMANDS:
-            run(args, reads_csv, tmp)
-        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
-            print(f"{digest(path)}  {path.relative_to(tmp).as_posix()}")
+            run(args, reads_csv, out, cache)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     return 0
 
 
