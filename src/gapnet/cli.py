@@ -213,7 +213,7 @@ def cmd_train(args):
     # inputs by content and no output path, as in report.json's config_hash:
     # one run gives the same report from any directory
     config = {k: v for k, v in vars(args).items() if k not in ("func", "dataset", "plan", "out")}
-    config["dataset_sha256"] = ds_mod.file_sha256(args.dataset)
+    config["dataset_sha256"] = ds.sha256 or ds_mod.file_sha256(args.dataset)
     config["plan_sha256"] = ds_mod.file_sha256(args.plan) if args.plan else None
     report = {
         "config": config,
@@ -259,7 +259,7 @@ def cmd_benchmark(args):
     config_snapshot = {
         "command": "benchmark",
         "dataset": str(args.dataset),
-        "dataset_sha256": ds_mod.file_sha256(args.dataset),
+        "dataset_sha256": ds.sha256 or ds_mod.file_sha256(args.dataset),
         "plan_file": args.plan,
         "plan_sha256": ds_mod.file_sha256(args.plan) if args.plan else None,
         "benchmark": vars(cfg).copy(),

@@ -29,8 +29,10 @@ from .numerics import usable_cpus
 RANGE_BYTES = 1 << 20
 
 # Parsed-cell cache entries kept; writing one deletes the least recently used
-# beyond this many (each holds 8 bytes per cell).
+# beyond this many. Cells larger than CACHE_ENTRY_BYTES (8 bytes per cell)
+# are not stored, so the cache holds at most 8 x 64 MiB.
 CACHE_ENTRIES = 8
+CACHE_ENTRY_BYTES = 64 << 20
 
 # A missing cell parses as this NaN, whose payload float() never produces,
 # so one compare of the bits finds every missing cell.
@@ -49,6 +51,7 @@ class GappedDataset:
     values: np.ndarray  # (N, F) float64, NaN where absent
     present: np.ndarray  # (N, F) bool
     labels: np.ndarray  # (N,) int, values in {0, 1}
+    sha256: str | None = None  # of the CSV bytes load_csv read, when known
 
     def __post_init__(self):
         n, f = self.values.shape
@@ -120,7 +123,8 @@ def load_csv(path, missing_token="NA", label_column="label"):
 
     The parsed cells of a file are kept in a cache (`_cached_parse`), so a
     later read of the same bytes with the same arguments skips the parse.
-    Every check after the parse runs on every read.
+    Every check after the parse runs on every read. The dataset's sha256 is
+    that of the bytes read, or None when the file changed during the read.
     """
     # utf-8-sig drops the byte-order mark a spreadsheet may write first
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -145,7 +149,7 @@ def load_csv(path, missing_token="NA", label_column="label"):
             cells = _forked_read(path, parse)
             return parse(reader) if cells is None else cells
 
-        cells = _cached_parse(path, [missing_token, label_column], len(header), read)
+        cells, digest = _cached_parse(path, [missing_token, label_column], len(header), read)
     if not len(cells):
         raise DatasetError(f"{path}: no data rows")
     missing = np.delete(cells.view(np.uint64) == _MISSING_BITS, label_pos, axis=1)
@@ -156,6 +160,7 @@ def load_csv(path, missing_token="NA", label_column="label"):
         values=values,
         present=~missing,
         labels=cells[:, label_pos].astype(np.int64),
+        sha256=digest,
     )
 
 
@@ -178,19 +183,21 @@ def _cache_dir():
 
 
 def _cached_parse(path, arguments, width, read):
-    """`read()`, the (n, width) cells of the file at path, or the cells a
-    past read stored for the same file bytes, `arguments` and parser.
+    """The (n, width) cells of the file at path, from `read()` or from what a
+    past read stored for the same file bytes, `arguments` and parser; and the
+    sha256 of the file, or None when it is unknown or the file changed during
+    `read()`.
 
     An entry is one .npy file named by the sha256 of the file's sha256,
     `arguments` and this module's sha256, so a changed parser never reads
     another's entries. An entry is used only when it is a C-ordered, 2-D,
     native float64 array `width` columns wide, and is written only after
-    `read()` returned and only when the file still has the bytes the key was
-    made from. The cache can only miss: any OSError, ValueError or EOFError
-    from it reads the file.
+    `read()` returned, only when the file still has the bytes the key was
+    made from, and only when it holds at most CACHE_ENTRY_BYTES. The cache
+    can only miss: any OSError, ValueError or EOFError from it reads the file.
     """
     cache_errors = (OSError, ValueError, EOFError)
-    entry = None
+    digest = entry = None
     try:
         digest = file_sha256(path)
         key = json.dumps([digest, *arguments, file_sha256(__file__)])
@@ -199,21 +206,28 @@ def _cached_parse(path, arguments, width, read):
             cells = np.lib.format.read_array(fh, allow_pickle=False)
         if (cells.ndim == 2 and cells.dtype == np.float64 and cells.shape[1] == width
                 and cells.flags.c_contiguous):
-            os.utime(entry)  # the mtime orders the evictions
-            return cells
+            with contextlib.suppress(OSError):
+                os.utime(entry)  # the mtime orders the evictions
+            return cells, digest
     except cache_errors:
         pass
     cells = read()
-    if entry is not None:
+    try:
+        if digest is None or file_sha256(path) != digest:
+            return cells, None
+    except OSError:
+        return cells, None
+    if entry is not None and cells.nbytes <= CACHE_ENTRY_BYTES:
         with contextlib.suppress(*cache_errors):
-            if file_sha256(path) == digest:
-                _store_entry(entry, cells)
-    return cells
+            _store_entry(entry, cells)
+    return cells, digest
 
 
 def _store_entry(entry, cells):
     """Write cells to the cache file entry atomically, then delete the least
-    recently used entries beyond CACHE_ENTRIES."""
+    recently used entries beyond CACHE_ENTRIES. Only .npy files are counted
+    or deleted: not the .tmp files of writes in flight, nor other files. An
+    entry that another process deletes first is passed over."""
     cache = os.path.dirname(entry)
     os.makedirs(cache, exist_ok=True)
     fd, temp = tempfile.mkstemp(dir=cache, suffix=".tmp")
@@ -224,9 +238,14 @@ def _store_entry(entry, cells):
     except BaseException:
         os.unlink(temp)
         raise
-    entries = sorted(os.scandir(cache), key=lambda e: e.stat().st_mtime_ns, reverse=True)
-    for old in entries[CACHE_ENTRIES:]:
-        os.unlink(old.path)
+    ages = []
+    for found in os.scandir(cache):
+        if found.name.endswith(".npy"):
+            with contextlib.suppress(OSError):
+                ages.append((found.stat().st_mtime_ns, found.path))
+    for _, old in sorted(ages, reverse=True)[CACHE_ENTRIES:]:
+        with contextlib.suppress(OSError):
+            os.unlink(old)
 
 
 def _parse_rows(rows, path, header, label_pos, token):

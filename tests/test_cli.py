@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from gapnet import dataset as ds_mod
 from gapnet.cli import main
 from gapnet.clustering import signature_clusters
 from gapnet.dataset import load_csv, save_csv
@@ -214,6 +215,26 @@ def test_train_report_bytes_do_not_depend_on_paths(tiny_csv, tmp_path, capsys):
     assert {"dataset", "plan", "out"}.isdisjoint(report["config"])
     assert {name: m["path"] for name, m in report["models"].items()} == {
         "vanilla": "vanilla.model.json", "gapnet": "gapnet.model.json"}
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_the_dataset_is_hashed_only_by_its_read(tmp_path, capsys, monkeypatch, tiny_csv, command):
+    hashed, file_sha256 = [], ds_mod.file_sha256
+
+    def counted(path):
+        hashed.append(str(path))
+        return file_sha256(path)
+
+    monkeypatch.setattr(ds_mod, "file_sha256", counted)
+    extra = ["--runs", 2] if command == "benchmark" else []
+    code, _, _ = run(capsys, command, tiny_csv, "--epochs", 2, *extra, "--out", tmp_path / "out")
+    assert code == 0
+    # before and after the parse, to key the cache and check the file held still
+    assert hashed.count(str(tiny_csv)) == 2
+    written = tmp_path / "out" / ("train_report.json" if command == "train" else "manifest.json")
+    recorded = json.loads(written.read_text())
+    recorded = recorded["config"] if command == "train" else recorded
+    assert recorded["dataset_sha256"] == hashlib.sha256(tiny_csv.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(

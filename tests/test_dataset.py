@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import threading
@@ -574,8 +575,41 @@ def test_a_file_edited_during_its_parse_stores_no_entry(tmp_path, monkeypatch, p
         return cells
 
     monkeypatch.setattr(dataset, "_parse_rows", editing)
-    assert load_csv(path).values[1].tolist() == [3.0, 4.0]
+    ds = load_csv(path)
+    assert ds.values[1].tolist() == [3.0, 4.0] and ds.sha256 is None
     assert entries(parsed_cell_cache) == []
+
+
+def test_a_dataset_carries_the_sha256_of_its_bytes(tmp_path, parsed_cell_cache):
+    path = write(tmp_path, many_rows())
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_csv(path).sha256 == digest  # the miss
+    assert load_csv(path).sha256 == digest  # the hit
+    assert len(entries(parsed_cell_cache)) == 1
+
+
+def test_a_hit_does_not_need_a_writable_mtime(tmp_path, monkeypatch, parsed_cell_cache):
+    path = write(tmp_path, many_rows())
+    load_csv(path)
+    parses = count_parent_parses(monkeypatch)
+
+    def refused(*args, **kwargs):
+        raise PermissionError("read-only cache")
+
+    monkeypatch.setattr(os, "utime", refused)
+    assert_same_dataset(load_csv(path), *reference_load_csv(path.read_text(), "NA"))
+    assert parses == []
+
+
+def test_cells_over_the_entry_bytes_are_not_stored(tmp_path, monkeypatch, parsed_cell_cache):
+    small = write(tmp_path, "a,label\n1,0\n", name="small.csv")
+    large = write(tmp_path, many_rows(), name="large.csv")
+    monkeypatch.setattr(dataset, "CACHE_ENTRY_BYTES", 16)  # two cells
+    parses = count_parent_parses(monkeypatch)
+    for _ in range(2):
+        assert load_csv(large).sha256 == hashlib.sha256(large.read_bytes()).hexdigest()
+        load_csv(small)
+    assert len(parses) == 3 and len(entries(parsed_cell_cache)) == 1
 
 
 def rewrite_entry(entry, how):
@@ -655,3 +689,30 @@ def test_the_cache_keeps_the_most_recently_used_entries(tmp_path, parsed_cell_ca
     kept = set(entries(parsed_cell_cache))
     assert len(kept) == dataset.CACHE_ENTRIES
     assert named[0] in kept and not {named[1], named[2]} & kept
+
+
+def test_eviction_counts_and_deletes_only_entries(tmp_path, monkeypatch, parsed_cell_cache):
+    named = []
+    for i in range(dataset.CACHE_ENTRIES):
+        load_csv(write(tmp_path, f"a,label\n{i},0\n", name=f"{i}.csv"))
+        [new] = set(entries(parsed_cell_cache)) - set(named)
+        named.append(new)
+    for age, entry in enumerate(named):  # file 0's entry the oldest
+        os.utime(entry, ns=((age + 1) * 10**9, (age + 1) * 10**9))
+    others = [parsed_cell_cache / "in-flight.tmp", parsed_cell_cache / "notes.txt"]
+    stale = parsed_cell_cache / ("0" * 64 + ".npy")  # another process's entry
+    for path in [*others, stale]:
+        path.write_text("")
+        os.utime(path, ns=(0, 0))  # older than any entry
+    unlink = os.unlink
+
+    def racing(path):  # another process deletes file 0's entry first
+        unlink(path)
+        if path == str(named[0]):
+            raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "unlink", racing)
+    load_csv(write(tmp_path, "a,label\n8,0\n", name="8.csv"))
+    kept = set(entries(parsed_cell_cache))
+    assert set(others) < kept and len(kept - set(others)) == dataset.CACHE_ENTRIES
+    assert not {named[0], stale} & kept and named[1] in kept
