@@ -124,7 +124,8 @@ def load_csv(path, missing_token="NA", label_column="label"):
     The parsed cells of a file are kept in a cache (`_cached_parse`), so a
     later read of the same bytes with the same arguments skips the parse.
     Every check after the parse runs on every read. The dataset's sha256 is
-    that of the bytes read, or None when the file changed during the read.
+    that of the bytes read, or None when the file changed during the read
+    or could not be hashed.
     """
     # utf-8-sig drops the byte-order mark a spreadsheet may write first
     with open(path, newline="", encoding="utf-8-sig") as fh:
