@@ -8,25 +8,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
 import os
-import signal
 import struct
-import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import usable_cpus
-
-# Body bytes per forked range reader: below twice this a file is read
-# serially, as a fork and the pipe back cost more than they save.
-RANGE_BYTES = 1 << 20
 
 # Parsed-cell cache entries kept; writing one deletes the least recently used
 # beyond this many. Cells larger than CACHE_ENTRY_BYTES (8 bytes per cell)
@@ -116,16 +106,12 @@ class NormalizationStats:
 def load_csv(path, missing_token="NA", label_column="label"):
     """Read a gapped dataset from CSV; empty cells or the token mean missing.
 
-    A body of at least 2 x RANGE_BYTES is cut at line ends into byte ranges
-    that forked readers parse (`_forked_read`), with the bits of a serial
-    read. A failure in any range reads the whole file again serially, so an
-    error names the first bad record in file order.
-
-    The parsed cells of a file are kept in a cache (`_cached_parse`), so a
-    later read of the same bytes with the same arguments skips the parse.
-    Every check after the parse runs on every read. The dataset's sha256 is
-    that of the bytes read, or None when the file changed during the read
-    or could not be hashed.
+    The records are parsed in one pass on this process (`_parse_rows`), and
+    the parsed cells are kept in a cache (`_cached_parse`), so a later read
+    of the same bytes with the same arguments skips the parse. Every check
+    after the parse runs on every read. The dataset's sha256 is that of the
+    bytes read, or None when the file changed during the read or could not
+    be hashed.
     """
     # utf-8-sig drops the byte-order mark a spreadsheet may write first
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -143,16 +129,9 @@ def load_csv(path, missing_token="NA", label_column="label"):
         if len(set(feature_names)) != len(feature_names):
             dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
             raise DatasetError(f"{path}: duplicate feature names {dupes}")
-        parse = functools.partial(_parse_rows, path=path, header=header,
-                                  label_pos=label_pos, token=missing_token)
-
-        def read():
-            cells = _forked_read(path, parse)
-            return parse(reader) if cells is None else cells
-
-        cells, digest = _cached_parse(path, [missing_token, label_column], len(header), read)
-    if not len(cells):
-        raise DatasetError(f"{path}: no data rows")
+        cells, digest = _cached_parse(
+            path, [missing_token, label_column], len(header),
+            lambda: _parse_rows(reader, path, header, label_pos, missing_token))
     missing = np.delete(cells.view(np.uint64) == _MISSING_BITS, label_pos, axis=1)
     values = np.delete(cells, label_pos, axis=1)
     values[missing] = np.nan
@@ -252,7 +231,7 @@ def _store_entry(entry, cells):
 def _parse_rows(rows, path, header, label_pos, token):
     """CSV records, numbered from line 2, as an (n, len(header)) float64
     array: the label as 0.0 or 1.0, a missing cell as _MISSING. Raises
-    DatasetError at the first bad record.
+    DatasetError at the first bad record, or when there is no record.
 
     float() strips the whitespace that strip() does, or rejects the cell, so
     a row reads unstripped with one comprehension; a row where float()
@@ -291,109 +270,9 @@ def _parse_rows(rows, path, header, label_pos, token):
                         f"{header[i]!r}"
                     ) from None
         out.append(cells)
-    return np.array(out, dtype=np.float64).reshape(-1, width)
-
-
-def _forked_read(path, parse):
-    """`parse` of the CSV body, its ranges parsed on forked children and the
-    last one here, or None when the file must be read serially: when the body
-    is under 2 x RANGE_BYTES, fewer than 2 CPUs are usable, the platform is
-    not Linux, another thread is alive (forking it could deadlock the child),
-    the file holds a quote (a quoted field may span a cut) or any range
-    fails. Every child is reaped on every path."""
-    if (not sys.platform.startswith("linux") or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return None
-    ranges = _body_ranges(path)
-    if ranges is None:
-        return None
-    children, parts = [], None
-    try:
-        for start, end in ranges[:-1]:
-            children.append(_fork_reader(path, start, end, parse))
-        tail = _read_range(path, ranges[-1][0], None, parse)
-        parts = [_receive(r, tail.shape[1]) for _, r in children] + [tail]
-    except (OSError, ValueError, csv.Error):
-        parts = None
-    finally:
-        for pid, r in children:
-            if parts is None:
-                os.kill(pid, signal.SIGKILL)
-            os.close(r)
-            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-                parts = None
-    return None if parts is None else np.concatenate(parts)
-
-
-def _body_ranges(path):
-    """Byte ranges [start, end) that cut the body at line ends, up to
-    usable_cpus() of them and each at least RANGE_BYTES long; None for fewer
-    than two, or for a file that holds a quote."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        size = os.fstat(fh.fileno()).st_size
-        body = size - len(header)
-        count = min(usable_cpus(), body // RANGE_BYTES)
-        # the header record is this line alone unless it holds a lone \r
-        if count < 2 or b"\r" in header[:-2]:
-            return None
-        fh.seek(0)
-        while chunk := fh.read(1 << 20):
-            if b'"' in chunk:
-                return None
-        cuts = [len(header)]
-        for i in range(1, count):
-            fh.seek(len(header) + body * i // count)
-            fh.readline()
-            cuts.append(fh.tell())
-    cuts.append(size)
-    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    return ranges if len(ranges) > 1 else None
-
-
-def _fork_reader(path, start, end, parse):
-    """Fork a child that writes the bytes of the array `parse` makes of
-    bytes [start, end) of path to a pipe, and exits 0 only when it has;
-    (its pid, the pipe's read end)."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                out.write(_read_range(path, start, end, parse).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _read_range(path, start, end, parse):
-    """`parse` of the CSV records in bytes [start, end) of path (end None:
-    to the end of the file, streamed)."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        raw = fh if end is None else io.BytesIO(fh.read(end - start))
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
-            return parse(csv.reader(text))
-
-
-def _receive(fd, width):
-    """A child's array, read from its pipe to the end. Every range holds a
-    record, so a child that sent nothing failed."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    if not chunks:
-        raise ValueError("a range reader sent nothing")
-    return np.frombuffer(b"".join(chunks), dtype=np.float64).reshape(-1, width)
+    if not out:
+        raise DatasetError(f"{path}: no data rows")
+    return np.array(out, dtype=np.float64)
 
 
 def _reads_as_number(text):

@@ -2,9 +2,7 @@ import csv
 import hashlib
 import io
 import os
-import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,11 +258,11 @@ def test_normalize_keeps_missing_missing(paper_madelon):
     assert np.isnan(out.values[~out.present]).all()
 
 
-# --- forked range readers -------------------------------------------------
+# --- the parser against a per-cell reader ---------------------------------
 
-RANGE_PADDING = ["", " ", "\t", "\xa0", "\x1c"]  # "\x1c": strip() drops it, float() does not
+CELL_PADDING = ["", " ", "\t", "\xa0", "\x1c"]  # "\x1c": strip() drops it, float() does not
 # "-1" and "1" read as numbers; strip() changes " NA" and " "
-RANGE_TOKENS = ["NA", "", "?", "-1", "1", " NA", " "]
+READ_TOKENS = ["NA", "", "?", "-1", "1", " NA", " "]
 
 
 def reference_load_csv(text, token):
@@ -290,7 +288,7 @@ def gapped_csv_text(draw, token):
         st.sampled_from(["1", "-1", "0", "nan", "-nan", "inf", "-inf", "NaN", "1e5"]),
     )
     bare = st.one_of(number, st.sampled_from(["", token, " ", "\t "]))
-    pad = st.sampled_from(RANGE_PADDING)
+    pad = st.sampled_from(CELL_PADDING)
     cell = st.builds(lambda a, c, b: a + c + b, pad, bare, pad)
     label = st.builds(lambda a, c, b: a + c + b, pad, st.sampled_from(["0", "1"]), pad)
     names = [f"x{j}" for j in range(f)]
@@ -313,33 +311,28 @@ def assert_same_dataset(ds, values, present, labels):
     assert np.array_equal(ds.labels, labels)
 
 
-def count_parent_parses(mp):
-    """Patch _parse_rows to count the calls made in this process."""
-    parent, parse, calls = os.getpid(), dataset._parse_rows, []
+def count_parses(mp):
+    """Patch _parse_rows to count its calls."""
+    parse, calls = dataset._parse_rows, []
 
     def counted(*args, **kwargs):
-        if os.getpid() == parent:
-            calls.append(1)
+        calls.append(1)
         return parse(*args, **kwargs)
 
     mp.setattr(dataset, "_parse_rows", counted)
     return calls
 
 
-@given(data=st.data(), token=st.sampled_from(RANGE_TOKENS),
-       range_bytes=st.integers(1, 40), cpus=st.integers(2, 5))
+@given(data=st.data(), token=st.sampled_from(READ_TOKENS))
 @settings(max_examples=80, deadline=None)
-def test_forked_ranges_read_the_bits_of_a_per_cell_reader(
-        tmp_path_factory, data, token, range_bytes, cpus):
+def test_forked_ranges_read_the_bits_of_a_per_cell_reader(tmp_path_factory, data, token):
     text = data.draw(gapped_csv_text(token))
-    path = tmp_path_factory.mktemp("ranges") / "data.csv"
+    path = tmp_path_factory.mktemp("read") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
         # a fresh cache for each example, so that its load parses
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        mp.setattr(dataset, "RANGE_BYTES", range_bytes)
-        mp.setattr(dataset, "usable_cpus", lambda: cpus)
-        parses = count_parent_parses(mp)
+        parses = count_parses(mp)
         try:
             expected = reference_load_csv(text, token)
         except ValueError:  # a padded token that strip() changes cannot be read
@@ -348,7 +341,7 @@ def test_forked_ranges_read_the_bits_of_a_per_cell_reader(
             return
         ds = load_csv(path, missing_token=token)
     assert_same_dataset(ds, *expected)
-    assert len(parses) == 1  # one parse here: no range failed over to a serial read
+    assert len(parses) == 1
 
 
 @pytest.mark.parametrize("token,cell,value", [
@@ -380,36 +373,6 @@ def many_rows(n=40, bad=None):
     return "a,b,label\n" + "\n".join(rows) + "\n"
 
 
-@pytest.fixture
-def forked_ranges(monkeypatch):
-    """Four ranges for a many_rows file; counts of the forks made and of the
-    parses run in this process (two when a range failed over to a serial read)."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(dataset, "RANGE_BYTES", 64)
-    monkeypatch.setattr(dataset, "usable_cpus", lambda: 4)
-    monkeypatch.setattr(os, "fork", counted)
-    return SimpleNamespace(forks=forks, parses=count_parent_parses(monkeypatch))
-
-
-def serial_load(path, **kwargs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset, "RANGE_BYTES", 1 << 40)
-        return load_csv(path, **kwargs)
-
-
-def test_forked_ranges_are_used_and_joined_in_file_order(tmp_path, forked_ranges):
-    path = write(tmp_path, many_rows())
-    ds = load_csv(path)
-    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
-    assert_same_dataset(ds, *reference_load_csv(path.read_text(), "NA"))
-
-
 def with_byte_order_mark(tmp_path, label_first):
     """A many_rows file that starts with a UTF-8 byte-order mark, as a
     spreadsheet's "CSV UTF-8" writes it, and the text after the mark."""
@@ -425,89 +388,38 @@ def with_byte_order_mark(tmp_path, label_first):
 @pytest.mark.parametrize("label_first", [False, True])
 def test_a_byte_order_mark_is_not_read_on_a_serial_read(tmp_path, label_first):
     path, text = with_byte_order_mark(tmp_path, label_first)
-    ds = serial_load(path)
-    assert ds.feature_names == ["a", "b"]
-    assert_same_dataset(ds, *reference_load_csv(text, "NA"))
-
-
-@pytest.mark.parametrize("label_first", [False, True])
-def test_a_byte_order_mark_is_not_read_on_forked_ranges(tmp_path, forked_ranges, label_first):
-    path, text = with_byte_order_mark(tmp_path, label_first)
     ds = load_csv(path)
-    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
     assert ds.feature_names == ["a", "b"]
     assert_same_dataset(ds, *reference_load_csv(text, "NA"))
 
 
-@pytest.mark.parametrize("row", [38, 5])  # the last range, parsed here; a forked one
+@pytest.mark.parametrize("row", [38, 5])
 @pytest.mark.parametrize("bad,message", [
     ("1,2,0,3", "expected 3 fields"),
     ("1,2", "expected 3 fields"),
     ("1,2,7", "label must be 0 or 1, got '7'"),
     ("1, x ,1", "cannot parse 'x' in column 'b'"),
 ])
-def test_a_bad_record_in_any_range_gives_the_serial_error(
-        tmp_path, forked_ranges, row, bad, message):
+def test_a_bad_record_in_any_range_gives_the_serial_error(tmp_path, row, bad, message):
     path = write(tmp_path, many_rows(bad=(row, bad)))
-    with pytest.raises(DatasetError) as serial:
-        serial_load(path)
-    with pytest.raises(DatasetError) as forked:
+    with pytest.raises(DatasetError) as error:
         load_csv(path)
-    assert str(forked.value) == str(serial.value) == f"{path}:{row + 2}: {message}"
-    assert len(forked_ranges.forks) == 3
+    assert str(error.value) == f"{path}:{row + 2}: {message}"
 
 
-def test_the_first_bad_record_in_file_order_is_named(tmp_path, forked_ranges):
+def test_the_first_bad_record_in_file_order_is_named(tmp_path):
     text = many_rows(bad=(38, "1,2,7")).replace("\n10.5,,0\n", "\n10.5,oops,0\n")
     path = write(tmp_path, text)
     with pytest.raises(DatasetError, match=r":12: cannot parse 'oops' in column 'b'$"):
         load_csv(path)
 
 
-@pytest.mark.parametrize("status", [0, 3])  # sends nothing; sends its rows, then fails
-def test_a_failed_child_falls_back_to_a_serial_read(
-        tmp_path, forked_ranges, monkeypatch, status):
-    parent, exit_, parse = os.getpid(), os._exit, dataset._parse_rows
-
-    def sending_nothing(*args, **kwargs):
-        if os.getpid() != parent:
-            exit_(0)
-        return parse(*args, **kwargs)
-
-    if status:
-        monkeypatch.setattr(os, "_exit", lambda code: exit_(status))
-    else:
-        monkeypatch.setattr(dataset, "_parse_rows", sending_nothing)
-    path = write(tmp_path, many_rows())
-    assert_same_dataset(load_csv(path), *reference_load_csv(path.read_text(), "NA"))
-    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 2
-
-
-@pytest.mark.parametrize("case", ["quoted field", "second thread", "one cpu"])
-def test_cases_that_must_not_fork_read_serially(tmp_path, monkeypatch, case):
-    def no_fork():
-        raise AssertionError("forked")
-
-    text = many_rows()
-    monkeypatch.setattr(dataset, "RANGE_BYTES", 64)
-    monkeypatch.setattr(dataset, "usable_cpus", lambda: 1 if case == "one cpu" else 4)
-    monkeypatch.setattr(os, "fork", no_fork)
-    if case == "quoted field":
-        text = text.replace("\n38.5,", '\n"38.5",')
-        assert '"' in text
+@pytest.mark.parametrize("case", ["quoted field"])
+def test_cases_that_must_not_fork_read_serially(tmp_path, case):
+    text = many_rows().replace("\n38.5,", '\n"38.5",')
+    assert '"' in text
     path = write(tmp_path, text)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if case == "second thread":
-        thread.start()
-    try:
-        ds = load_csv(path)
-    finally:
-        stop.set()
-        if case == "second thread":
-            thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert_same_dataset(ds, *reference_load_csv(text, "NA"))
+    assert_same_dataset(load_csv(path), *reference_load_csv(text, "NA"))
 
 
 # --- the parsed-cell cache ------------------------------------------------------
@@ -518,15 +430,16 @@ def entries(cache):
 
 
 def test_a_hit_neither_forks_nor_parses_and_keeps_every_bit(
-        tmp_path, forked_ranges, parsed_cell_cache):
+        tmp_path, monkeypatch, parsed_cell_cache):
     text = many_rows().replace("\n1.5,,1\n", "\n-0.0,nan,1\n")
     text = text.replace("\n2.5,,0\n", "\n5e-324,inf,0\n")
     path = write(tmp_path, text)
+    parses = count_parses(monkeypatch)
     cold = load_csv(path)
-    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
+    assert len(parses) == 1
     assert len(entries(parsed_cell_cache)) == 1
     warm = load_csv(path)
-    assert len(forked_ranges.forks) == 3 and len(forked_ranges.parses) == 1
+    assert len(parses) == 1
     assert warm.feature_names == cold.feature_names
     assert np.array_equal(warm.values.view(np.uint64), cold.values.view(np.uint64))
     assert np.array_equal(warm.present, cold.present)
@@ -548,7 +461,7 @@ def test_other_read_arguments_miss(tmp_path, parsed_cell_cache):
 
 def test_another_parser_misses(tmp_path, monkeypatch, parsed_cell_cache):
     path = write(tmp_path, "a,b,label\n1,2,0\n3,4,1\n")
-    parses = count_parent_parses(monkeypatch)
+    parses = count_parses(monkeypatch)
     load_csv(path)
     edited = tmp_path / "dataset.py"
     edited.write_bytes(Path(dataset.__file__).read_bytes() + b"# edited\n")
@@ -591,7 +504,7 @@ def test_a_dataset_carries_the_sha256_of_its_bytes(tmp_path, parsed_cell_cache):
 def test_a_hit_does_not_need_a_writable_mtime(tmp_path, monkeypatch, parsed_cell_cache):
     path = write(tmp_path, many_rows())
     load_csv(path)
-    parses = count_parent_parses(monkeypatch)
+    parses = count_parses(monkeypatch)
 
     def refused(*args, **kwargs):
         raise PermissionError("read-only cache")
@@ -605,7 +518,7 @@ def test_cells_over_the_entry_bytes_are_not_stored(tmp_path, monkeypatch, parsed
     small = write(tmp_path, "a,label\n1,0\n", name="small.csv")
     large = write(tmp_path, many_rows(), name="large.csv")
     monkeypatch.setattr(dataset, "CACHE_ENTRY_BYTES", 16)  # two cells
-    parses = count_parent_parses(monkeypatch)
+    parses = count_parses(monkeypatch)
     for _ in range(2):
         assert load_csv(large).sha256 == hashlib.sha256(large.read_bytes()).hexdigest()
         load_csv(small)
@@ -671,6 +584,16 @@ def test_a_file_that_fails_to_parse_stores_nothing(tmp_path, parsed_cell_cache):
         with pytest.raises(DatasetError) as error:
             load_csv(path)
         assert str(error.value) == f"{path}:7: cannot parse 'x' in column 'b'"
+    assert entries(parsed_cell_cache) == []
+
+
+@pytest.mark.parametrize("text", ["a,b,label\n", "a,b,label"])
+def test_a_header_only_file_stores_nothing(tmp_path, parsed_cell_cache, text):
+    path = write(tmp_path, text)
+    for _ in range(2):
+        with pytest.raises(DatasetError) as error:
+            load_csv(path)
+        assert str(error.value) == f"{path}: no data rows"
     assert entries(parsed_cell_cache) == []
 
 

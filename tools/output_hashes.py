@@ -40,6 +40,7 @@ COMMANDS = [
       "--no-normalize", "--no-stratify", "--test-fraction", "0.3", "--batch-size", "50",
       "--unfreeze-bodies", "--out", "benchmark-minibatch"], True),
     (["perfbench/widegaps.py", "--seed", "1", "--out", "wide.csv"], False),
+    (["clusters", "wide.csv", "--out", "wide-clusters.json"], True),
     (["train", "wide.csv", "--epochs", "3", "--out", "wide-train"], True),
 ]
 
