@@ -75,7 +75,8 @@ def _load_dataset(args):
     )
     bad = ds.present & ~np.isfinite(ds.values)
     if bad.any():
-        # load_csv numbers data records from line 2, after the header
+        # the cached cells keep no line map: this numbers records from line 2,
+        # which is the record's line unless a quoted field before it spans lines
         row, col = np.argwhere(bad)[0]
         raise DatasetError(
             f"{args.dataset}:{row + 2}: non-finite value {float(ds.values[row, col])!r} "

@@ -228,10 +228,11 @@ def _store_entry(entry, cells):
             os.unlink(old)
 
 
-def _parse_rows(rows, path, header, label_pos, token):
-    """CSV records, numbered from line 2, as an (n, len(header)) float64
-    array: the label as 0.0 or 1.0, a missing cell as _MISSING. Raises
-    DatasetError at the first bad record, or when there is no record.
+def _parse_rows(reader, path, header, label_pos, token):
+    """The records of a csv.reader as an (n, len(header)) float64 array: the
+    label as 0.0 or 1.0, a missing cell as _MISSING. Raises DatasetError at
+    the first bad record, naming the line it ends on (a quoted field may span
+    lines), or when there is no record.
 
     float() strips the whitespace that strip() does, or rejects the cell, so
     a row reads unstripped with one comprehension; a row where float()
@@ -242,14 +243,14 @@ def _parse_rows(rows, path, header, label_pos, token):
     width = len(header)
     lean = token == token.strip() and not _reads_as_number(token)
     out = []
-    for lineno, row in enumerate(rows, start=2):
+    for row in reader:
         if len(row) != width:
-            raise DatasetError(f"{path}:{lineno}: expected {width} fields")
+            raise DatasetError(f"{path}:{reader.line_num}: expected {width} fields")
         if row[label_pos] not in _LABELS:
             label_cell = row[label_pos].strip()
             if label_cell not in _LABELS:
                 raise DatasetError(
-                    f"{path}:{lineno}: label must be 0 or 1, got {label_cell!r}"
+                    f"{path}:{reader.line_num}: label must be 0 or 1, got {label_cell!r}"
                 )
         if lean:
             try:
@@ -266,7 +267,7 @@ def _parse_rows(rows, path, header, label_pos, token):
                     cells[i] = float(cell)
                 except ValueError:
                     raise DatasetError(
-                        f"{path}:{lineno}: cannot parse {cell!r} in column "
+                        f"{path}:{reader.line_num}: cannot parse {cell!r} in column "
                         f"{header[i]!r}"
                     ) from None
         out.append(cells)

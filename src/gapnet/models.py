@@ -28,7 +28,6 @@ from .numerics import (
     dropout_mask,
     glorot_init,
     pin_blas_threads,
-    usable_cpus,
 )
 
 
@@ -252,23 +251,28 @@ class GapNetModel:
         column j replaced by `values`, as `predict` gives them.
 
         Only the body whose cluster holds column j runs again, on the same
-        F-ordered column copy `forward` gives it; the head reads the other
-        bodies' outputs on X, computed once here.
+        F-ordered column copy `forward` gives it. The head reads one C-ordered
+        concat of the bodies' outputs on X, built once here: each score writes
+        body k's new output into body k's columns, then restores them.
         """
         X = np.asarray(X, dtype=np.float64)
         self.check_block(X)
         blocks = [X[:, cols] for cols in self.columns]
         hidden = [body.forward(b).outputs for body, b in zip(self.bodies, blocks)]
         owner = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+        concat = np.hstack(hidden)
+        edges = np.cumsum([0] + [h.shape[1] for h in hidden])
 
         def score(j, values):
             k = owner[j]
             block, local = blocks[k], j - self.columns[k][0]
+            out = slice(edges[k], edges[k + 1])
             block[:, local] = values
-            parts = list(hidden)
-            parts[k] = self.bodies[k].forward(block).outputs
+            concat[:, out] = self.bodies[k].forward(block).outputs
             block[:, local] = X[:, j]
-            return self.head.forward(np.hstack(parts)).outputs.reshape(-1)
+            scores = self.head.forward(concat).outputs.reshape(-1)
+            concat[:, out] = hidden[k]
+            return scores
 
         return score
 
@@ -386,23 +390,13 @@ def _fit_setup(ds, split, cfg, features, key, empty_message):
     return net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng
 
 
-def _fit_threads(cfg):
-    """Threads one run's stage-I fits may use: the usable CPUs, shared among
-    the benchmark's worker processes when cfg is a benchmark's."""
-    workers = min(cfg.jobs, cfg.runs) if hasattr(cfg, "jobs") else 1
-    return max(1, usable_cpus() // workers)
-
-
 def train_stage1(ds, plan, split, cfg):
     """Train one sub-network per cluster on its complete rows minus test rows.
 
-    Fits whose batch has more rows than `tile_rows(net)` run on a thread
-    pool, one BLAS thread each; fits of one tile or fewer, whose steps are
-    bound by the interpreter lock, run on the calling thread in plan order
-    meanwhile. Each fit draws only from its own stream, so the nets do not
-    depend on the pool size. Every fit is set up before any trains, so a
-    cluster with no training rows raises before any training. When fits
-    fail, the first failure in plan order is raised.
+    Every fit is set up before any trains, so a cluster with no training
+    rows raises before any training. The fits then train one after another
+    in plan order, each drawing only from its own stream; the first failure
+    is raised, and the fits after it do not train.
     """
     fits = [
         _fit_setup(
@@ -411,39 +405,7 @@ def train_stage1(ds, plan, split, cfg):
         )
         for k, cluster in enumerate(plan.clusters)
     ]
-    nets, failures = [None] * len(fits), [None] * len(fits)
-
-    def fit(k):
-        try:
-            nets[k] = fit_network(*fits[k])
-        except Exception as exc:
-            failures[k] = exc
-
-    tiled = [
-        k for k, (net, _, y, _, _) in enumerate(fits)
-        if min(len(y), cfg.batch_size or len(y)) > tile_rows(net)
-    ]
-    threads = min(len(tiled), _fit_threads(cfg))
-    if threads < 2:
-        for k in range(len(fits)):
-            fit(k)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Set the one-thread BLAS count here, before any pool thread calls BLAS.
-        # Each fit sets it again in _epochs; setting a count of 1 to 1 changes
-        # nothing a BLAS call on another thread reads, so the calls do not race.
-        pin_blas_threads()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k in tiled:
-                pool.submit(fit, k)
-            for k in range(len(fits)):
-                if k not in tiled:
-                    fit(k)
-    for exc in failures:
-        if exc is not None:
-            raise exc
-    return nets
+    return [fit_network(*fit) for fit in fits]
 
 
 def train_stage2(model, ds, split, cfg):

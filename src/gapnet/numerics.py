@@ -78,14 +78,6 @@ def pin_blas_threads():
         setter(1)
 
 
-def usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def relu(z, out=None):
     return np.maximum(z, 0.0, out=out)
 

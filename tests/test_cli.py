@@ -387,12 +387,9 @@ def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
     assert sorted(parents) == ["models.train_stage1"] * 4 + ["models.train_vanilla"] * 2
 
 
-@pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="stage-I fits overlap only on 2 or more CPUs"
-)
 def test_tracer_counts_the_rows_of_overlapped_fits(tmp_path):
     """Two clusters of 30 features and 630 training rows each, more than
-    their 544-row tiles: their stage-I fits run on a thread pool."""
+    their 544-row tiles: each stage-I fit runs several tiles a step."""
     rng = np.random.default_rng(3)
     present = np.ones((900, 60), dtype=bool)
     present[:150, :30] = False
@@ -417,6 +414,9 @@ def test_tracer_counts_the_rows_of_overlapped_fits(tmp_path):
     assert [s[1] for s in fits].count("models.fit_network") == 3  # baseline, 2 clusters
     ids = {s[0] for s in spans}
     assert all(s[4] is None or s[4] in ids for s in spans)
+    name_of = {s[0]: s[1] for s in spans}
+    parents = [name_of[s[4]] for s in fits if s[1] == "models.fit_network"]
+    assert sorted(parents) == ["models.train_stage1"] * 2 + ["models.train_vanilla"]
 
 
 def test_importance_command(tiny_csv, tmp_path, capsys):

@@ -414,6 +414,18 @@ def test_the_first_bad_record_in_file_order_is_named(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ('a,b,label\n"1\n",2,0\nx,2,0\n', "4: cannot parse 'x' in column 'a'"),
+    ('a,b,label\n1,2,0\n"3\n\n",4,1\n5,6\n', "6: expected 3 fields"),
+    ('a,b,label\n1,"2\n3",0,9\n', "3: expected 3 fields"),  # the line the record ends on
+], ids=["bad-cell-after", "field-count-after", "record-that-spans"])
+def test_a_bad_record_after_a_field_that_spans_lines_names_its_line(tmp_path, text, message):
+    path = write(tmp_path, text, "ml.csv")
+    with pytest.raises(DatasetError) as error:
+        load_csv(path, missing_token="")
+    assert str(error.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize("case", ["quoted field"])
 def test_cases_that_must_not_fork_read_serially(tmp_path, case):
     text = many_rows().replace("\n38.5,", '\n"38.5",')

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import threading
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from gapnet import models
 from gapnet.clustering import ClusterPlan, FeatureCluster, signature_clusters
-from gapnet.benchmark import BenchmarkConfig
 from gapnet.dataset import DataSplit, split
 from gapnet.models import (
     ConfigError,
@@ -409,11 +407,9 @@ def tiled_stage1_data(monkeypatch):
     return ds, signature_clusters(ds), split(ds, 0.2, np.random.default_rng(0))
 
 
-def spy_fits(monkeypatch, cpus, fail_widths=()):
-    """Pool the fits as if `cpus` CPUs were usable; record each fit's input
-    width and whether it ran on the calling thread, and fail the fits of
-    inputs `fail_widths` wide."""
-    monkeypatch.setattr(models, "usable_cpus", lambda: cpus)
+def spy_fits(monkeypatch, fail_widths=()):
+    """Record each fit's input width and whether it ran on the calling
+    thread, and fail the fits of inputs `fail_widths` wide."""
     real, seen = fit_network, []
 
     def spy(net, X, *rest):
@@ -427,64 +423,55 @@ def spy_fits(monkeypatch, cpus, fail_widths=()):
 
 
 def test_tiled_stage1_fits_overlap_with_the_same_bits(monkeypatch):
+    """The tiled stage-I nets are those of each cluster's fit alone, and
+    every fit runs on the calling thread, in plan order."""
     ds, plan, s = tiled_stage1_data(monkeypatch)
-    runs = {}
-    for cpus in (1, 2):
-        seen = spy_fits(monkeypatch, cpus)
-        runs[cpus] = train_stage1(ds, plan, s, fast_cfg(epochs=3)), sorted(seen)
-    assert runs[1][1] == [(1, True), (2, True), (3, True)]
-    # the two multi-tile fits on pool threads, the one-tile fit on this one
-    assert runs[2][1] == [(1, True), (2, False), (3, False)]
-    for serial, pooled in zip(runs[1][0], runs[2][0]):
-        for a, b in zip(serial.layers, pooled.layers):
+    cfg = fast_cfg(epochs=3)
+    seen = spy_fits(monkeypatch)
+    nets = train_stage1(ds, plan, s, cfg)
+    assert seen == [(2, True), (3, True), (1, True)]
+    for k, (cluster, net) in enumerate(zip(plan.clusters, nets)):
+        alone = fit_network(*models._fit_setup(ds, s, cfg, cluster.features, k, ""))
+        for a, b in zip(alone.layers, net.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
 
 
 def test_overlapped_stage1_raises_the_first_failure_in_plan_order(monkeypatch):
     ds, plan, s = tiled_stage1_data(monkeypatch)
-    seen = spy_fits(monkeypatch, 2)
+    seen = spy_fits(monkeypatch)
     held_out = DataSplit(train_rows=np.arange(16, 60), test_rows=np.arange(16))
     with pytest.raises(
         TrainingError, match="^cluster 'cluster_3' has no training rows after test exclusion$"
     ):
         train_stage1(ds, plan, held_out, fast_cfg())
     assert seen == []  # every fit is set up before any trains
-    # cluster_2's pooled fit fails before cluster_3's on the calling thread
-    seen = spy_fits(monkeypatch, 2, fail_widths=(3, 1))
+    # cluster_2's fit fails, and cluster_3's after it does not train
+    seen = spy_fits(monkeypatch, fail_widths=(3, 1))
     with pytest.raises(TrainingError, match="^fit of 3 features failed$"):
         train_stage1(ds, plan, s, fast_cfg())
-    assert len(seen) == 3
+    assert seen == [(2, True), (3, True)]
 
 
 def test_train_gapnet_rejects_clusters_that_share_a_feature_before_any_fit(monkeypatch):
     ds = make_dataset(np.random.default_rng(0).standard_normal((200, 4)))
     plan = ClusterPlan([FeatureCluster("a", [0, 1]), FeatureCluster("b", [1, 2])])
-    seen = spy_fits(monkeypatch, 1)
+    seen = spy_fits(monkeypatch)
     with pytest.raises(NumericsError, match="^a feature appears in two clusters$"):
         train_gapnet(ds, plan, split(ds, 0.2, np.random.default_rng(0)), fast_cfg())
     assert seen == []
 
 
 def test_paper_madelon_stage1_starts_no_pool(paper_madelon, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+    """Stage I starts no thread, on multi-tile fits as on paper Madelon."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(models, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     s = split(paper_madelon, 0.2, np.random.default_rng(0))
     assert len(train_stage1(paper_madelon, signature_clusters(paper_madelon), s, fast_cfg())) == 2
-
-
-@pytest.mark.parametrize("cfg,threads", [
-    (TrainConfig(), 4),
-    (BenchmarkConfig(jobs=1), 4),
-    (BenchmarkConfig(jobs=2, runs=5), 2),
-    (BenchmarkConfig(jobs=8, runs=3), 1),  # 3 worker processes
-])
-def test_fit_threads_share_the_cpus_among_benchmark_workers(monkeypatch, cfg, threads):
-    monkeypatch.setattr(models, "usable_cpus", lambda: 4)
-    assert models._fit_threads(cfg) == threads
+    ds, plan, s = tiled_stage1_data(monkeypatch)
+    assert len(train_stage1(ds, plan, s, fast_cfg())) == 3
 
 
 def reference_fit_gapnet(model, X, y, cfg, rng):

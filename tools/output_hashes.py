@@ -42,6 +42,11 @@ COMMANDS = [
     (["perfbench/widegaps.py", "--seed", "1", "--out", "wide.csv"], False),
     (["clusters", "wide.csv", "--out", "wide-clusters.json"], True),
     (["train", "wide.csv", "--epochs", "3", "--out", "wide-train"], True),
+    # tiled stage-I fits in minibatches, and inside a benchmark run
+    (["train", "wide.csv", "--epochs", "2", "--batch-size", "3000", "--seed", "1",
+      "--out", "wide-minibatch"], True),
+    (["benchmark", "wide.csv", "--runs", "2", "--epochs", "2", "--jobs", "1",
+      "--out", "wide-benchmark"], True),
 ]
 
 _ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
