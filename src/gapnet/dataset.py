@@ -18,6 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import forked_map, usable_cpus
+
+# save_csv formats a table of at least this many cells on forked children.
+# In process on a 2-CPU host, a forked write of an n x 40 table took 11%
+# longer than a serial one at 8,000 cells, 2% longer at 12,000 and 5-8% less
+# at 14,000-20,000 (medians of 31): a fork and the pipe back cost ~4 ms.
+FORK_CELLS = 16_000
+
 # Parsed-cell cache entries kept; writing one deletes the least recently used
 # beyond this many. Cells larger than CACHE_ENTRY_BYTES (8 bytes per cell)
 # are not stored, so the cache holds at most 8 x 64 MiB.
@@ -120,15 +128,7 @@ def load_csv(path, missing_token="NA", label_column="label"):
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DatasetError(f"{path}: no {label_column!r} column in header")
-        if header.count(label_column) > 1:
-            raise DatasetError(f"{path}: the header names the {label_column!r} column more than once")
-        label_pos = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        if len(set(feature_names)) != len(feature_names):
-            dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
-            raise DatasetError(f"{path}: duplicate feature names {dupes}")
+        label_pos, feature_names = _header_fields(path, header, label_column)
         cells, digest = _cached_parse(
             path, [missing_token, label_column], len(header),
             lambda: _parse_rows(reader, path, header, label_pos, missing_token))
@@ -142,6 +142,22 @@ def load_csv(path, missing_token="NA", label_column="label"):
         labels=cells[:, label_pos].astype(np.int64),
         sha256=digest,
     )
+
+
+def _header_fields(path, header, label_column):
+    """The label column's index in a CSV header and the feature names in it;
+    DatasetError when the header lacks the label column, names it more than
+    once or names a feature more than once."""
+    if label_column not in header:
+        raise DatasetError(f"{path}: no {label_column!r} column in header")
+    if header.count(label_column) > 1:
+        raise DatasetError(f"{path}: the header names the {label_column!r} column more than once")
+    label_pos = header.index(label_column)
+    feature_names = [h for i, h in enumerate(header) if i != label_pos]
+    if len(set(feature_names)) != len(feature_names):
+        dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
+        raise DatasetError(f"{path}: duplicate feature names {dupes}")
+    return label_pos, feature_names
 
 
 def file_sha256(path):
@@ -288,23 +304,43 @@ def save_csv(ds, path, missing_token="", label_column="label"):
     """Write a dataset back out. Read back with the same missing token, the
     names, value bits, mask and labels are kept exactly; so a token that
     reads as a number, or that load_csv's strip would change, raises
-    DatasetError. The bytes are csv.writer's (excel dialect): a float repr
-    never needs quoting, so only the header and the token go through it."""
+    DatasetError, as does a header that load_csv would reject. The bytes are
+    csv.writer's (excel dialect): a float repr never needs quoting, so only
+    the header and the token go through it.
+
+    A table of at least FORK_CELLS cells is cut into one contiguous range of
+    rows per usable CPU, and numerics.forked_map formats the first range
+    here and each other on a forked child. The file is opened only once
+    every row is formatted.
+    """
     if _reads_as_number(missing_token):
         raise DatasetError(f"missing token {missing_token!r} would read as a number")
     if missing_token.strip() not in ("", missing_token):
         raise DatasetError(f"missing token {missing_token!r} has surrounding whitespace")
+    header = list(ds.feature_names) + [label_column]
+    _header_fields(path, header, label_column)
     quoted = io.StringIO()
     csv.writer(quoted).writerow([missing_token, ""])
     token = quoted.getvalue()[: -len(",\r\n")]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(ds.feature_names) + [label_column])
-        for values, present, label in zip(ds.values, ds.present, ds.labels):
+
+    def format_rows(bounds):
+        lines = []
+        rows = slice(*bounds)
+        for values, present, label in zip(ds.values[rows], ds.present[rows], ds.labels[rows]):
             cells = [
                 repr(v) if p else token
                 for v, p in zip(values.tolist(), present.tolist())
             ]
-            fh.write(",".join(cells) + f",{int(label)}\r\n")
+            lines.append(",".join(cells) + f",{int(label)}\r\n")
+        return "".join(lines)
+
+    n = ds.n_samples
+    parts = min(usable_cpus(), n) if ds.values.size >= FORK_CELLS else 1
+    cuts = [n * i // parts for i in range(parts + 1)]
+    bodies = forked_map(format_rows, zip(cuts, cuts[1:]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(bodies)
 
 
 def split(ds, test_fraction, rng, stratified=True):

@@ -18,6 +18,8 @@ import functools
 import glob
 import math
 import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +78,87 @@ def pin_blas_threads():
     setter = _blas_thread_setter()
     if setter is not None:
         setter(1)
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on, at least 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def forked_map(fn, items):
+    """[fn(x) for x in items], with items 1 and up each run on a forked child.
+
+    Every child is forked before item 0 runs here, and sends its result or
+    its exception back pickled through a pipe. The results come back in item
+    order; the first failure in item order is raised here, and a child that
+    ends without sending a result raises RuntimeError. Every child is reaped
+    before this returns or raises, and is killed first when this fails or is
+    interrupted before every result is in. Every item runs here when there
+    is no os.fork, one usable CPU, another live thread (a forked copy of a
+    lock that thread holds would never be released) or one item.
+    """
+    items = list(items)
+    if (len(items) < 2 or not hasattr(os, "fork") or usable_cpus() < 2
+            or threading.active_count() > 1):
+        return [fn(x) for x in items]
+    children, sent, codes = [], [], []
+    try:
+        for item in items[1:]:
+            children.append(_fork_call(fn, item))
+        results = [fn(items[0])]
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    finally:
+        if len(sent) < len(children):
+            # imported only here: its enums add 0.1 MB to every gapnet process
+            import signal
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, r in children:
+            os.close(r)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for data, code in zip(sent, codes):
+        if code != 0 or not data:
+            raise RuntimeError(f"a forked child ended with code {code} without a result")
+        ok, value = pickle.loads(data)  # written by a child forked above
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork_call(fn, item):
+    """Fork a child that pickles (True, fn(item)), or (False, the exception
+    fn raised), to a pipe and leaves through os._exit, with code 0 only once
+    all of it is written; (the child's pid, the pipe's read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                outcome = (True, fn(item))
+            except BaseException as exc:  # raised again by the caller
+                outcome = (False, exc)
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
 
 
 def relu(z, out=None):

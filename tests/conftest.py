@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,21 @@ def parsed_cell_cache(tmp_path_factory, monkeypatch):
     cache = tmp_path_factory.mktemp("xdg-cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     return cache / "gapnet"
+
+
+def count_forks(mp):
+    """Patch os.fork through the MonkeyPatch mp to record each pid it
+    returns to this process; the list it records them in."""
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counted_fork)
+    return forked
 
 
 @pytest.fixture(scope="session")

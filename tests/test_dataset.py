@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapnet import dataset
+from gapnet import dataset, numerics
 from gapnet.dataset import (
     DatasetError,
     compute_stats,
@@ -18,7 +18,7 @@ from gapnet.dataset import (
     save_csv,
     split,
 )
-from conftest import make_dataset
+from conftest import count_forks, make_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -71,9 +71,10 @@ CSV_VALUES = st.one_of(
 CSV_TOKENS = ["", "NA", "?", "missing", ",", '"', "a\nb", " ", "\r", "\t", 'x,y"z']
 
 
-def draw_dataset(data):
+def draw_dataset(data, label_column="label"):
     n, f = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
-    names = data.draw(st.lists(CSV_NAMES, min_size=f, max_size=f, unique=True))
+    feature_names = CSV_NAMES.filter(lambda s: s != label_column)
+    names = data.draw(st.lists(feature_names, min_size=f, max_size=f, unique=True))
     cells = st.lists(CSV_VALUES, min_size=n * f, max_size=n * f)
     values = np.array(data.draw(cells)).reshape(n, f)
     present = np.array(data.draw(st.lists(st.booleans(), min_size=n * f, max_size=n * f)))
@@ -98,11 +99,70 @@ def reference_save_csv(ds, path, missing_token="", label_column="label"):
 @given(data=st.data(), token=st.sampled_from(CSV_TOKENS), label_column=CSV_NAMES)
 @settings(max_examples=80, deadline=None)
 def test_save_csv_writes_the_csv_writer_bytes(tmp_path_factory, data, token, label_column):
-    ds = draw_dataset(data)
+    ds = draw_dataset(data, label_column)
     d = tmp_path_factory.mktemp("bytes")
     save_csv(ds, d / "new.csv", missing_token=token, label_column=label_column)
     reference_save_csv(ds, d / "ref.csv", missing_token=token, label_column=label_column)
     assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+def forking_at_every_size(mp, cpus):
+    """Patch save_csv to fork at any size on `cpus` CPUs; the list of the
+    pids that os.fork returned to this process."""
+    mp.setattr(dataset, "FORK_CELLS", 0)
+    mp.setattr(dataset, "usable_cpus", lambda: cpus)
+    mp.setattr(numerics, "usable_cpus", lambda: cpus)
+    return count_forks(mp)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@given(data=st.data(), token=st.sampled_from(CSV_TOKENS), label_column=CSV_NAMES)
+@settings(max_examples=40, deadline=None)
+def test_forked_save_csv_writes_the_csv_writer_bytes(tmp_path_factory, cpus, data, token,
+                                                     label_column):
+    ds = draw_dataset(data, label_column)
+    d = tmp_path_factory.mktemp("forked")
+    with pytest.MonkeyPatch.context() as mp:
+        forked = forking_at_every_size(mp, cpus)
+        save_csv(ds, d / "new.csv", missing_token=token, label_column=label_column)
+    assert len(forked) == min(cpus, ds.n_samples) - 1
+    reference_save_csv(ds, d / "ref.csv", missing_token=token, label_column=label_column)
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class LabelError(Exception):
+    pass
+
+
+class BadLabel:
+    def __int__(self):
+        raise LabelError("label of the last row")
+
+
+def test_a_failed_forked_range_raises_its_error_and_writes_no_file(tmp_path, monkeypatch):
+    ds = make_dataset(np.arange(12.0).reshape(6, 2))
+    ds.labels = np.array([0, 1, 0, 1, 0, BadLabel()], dtype=object)
+    forked = forking_at_every_size(monkeypatch, 3)
+    with pytest.raises(LabelError, match="^label of the last row$"):
+        save_csv(ds, tmp_path / "data.csv")
+    assert len(forked) == 2
+    assert not (tmp_path / "data.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("names,label_column,message", [
+    (["a", "label"], "label", "names the 'label' column more than once"),
+    (["a", "a"], "label", r"duplicate feature names \['a'\]"),
+    (["y", "x"], "y", "names the 'y' column more than once"),
+])
+def test_save_csv_rejects_a_header_load_csv_rejects(tmp_path, names, label_column, message):
+    ds = make_dataset(np.ones((2, 2)), names=names)
+    with pytest.raises(DatasetError, match=message):
+        save_csv(ds, tmp_path / "data.csv", label_column=label_column)
+    assert not (tmp_path / "data.csv").exists()
 
 
 @given(data=st.data(), token=st.sampled_from(CSV_TOKENS))

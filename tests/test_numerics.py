@@ -1,8 +1,11 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from gapnet import numerics
 from gapnet.numerics import (
     AdamState,
     DenseLayer,
@@ -14,10 +17,12 @@ from gapnet.numerics import (
     dense_layer,
     dropout_mask,
     finite_diff_grad,
+    forked_map,
     glorot_init,
     relu,
     sigmoid,
 )
+from conftest import count_forks
 
 
 def make_net(widths, activations, seed=0):
@@ -287,3 +292,93 @@ def test_workspace_takes_batches_of_its_own_size_only():
             net.forward(x, mode="train", workspace=Workspace(net, rows))
         with pytest.raises(NumericsError, match=f"batch of 4 rows in a workspace of {rows}"):
             net.backprop(cache, np.ones(4), workspace=Workspace(net, rows))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """forked_map sees two usable CPUs; the pids os.fork returned here."""
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 2)
+    return count_forks(monkeypatch)
+
+
+def test_forked_map_returns_the_results_in_item_order(two_cpus):
+    pids = forked_map(lambda x: (x * x, os.getpid()), range(4))
+    assert [square for square, _ in pids] == [0, 1, 4, 9]
+    assert pids[0][1] == os.getpid()
+    assert len({pid for _, pid in pids}) == 4
+    assert len(two_cpus) == 3
+    assert_no_child_left()
+
+
+def fail_from(first):
+    def fn(x):
+        if x >= first:
+            raise KeyError(f"item {x}")
+        return x
+    return fn
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_forked_map_raises_the_first_failure_in_item_order(two_cpus, first):
+    with pytest.raises(KeyError, match=f"item {first}"):
+        forked_map(fail_from(first), range(4))
+    assert len(two_cpus) == 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("code", [0, 5])
+def test_a_child_that_sends_no_result_is_a_runtime_error(two_cpus, code):
+    with pytest.raises(RuntimeError, match=f"code {code} without a result"):
+        forked_map(lambda x: os._exit(code) if x == 2 else x, range(3))
+    assert_no_child_left()
+
+
+def test_the_children_are_killed_when_the_caller_fails(two_cpus):
+    def fn(x):
+        if x == 0:
+            raise ValueError("caller failed")
+        threading.Event().wait(60)  # killed long before this returns
+
+    with pytest.raises(ValueError, match="caller failed"):
+        forked_map(fn, range(3))
+    assert len(two_cpus) == 2
+    assert_no_child_left()
+
+
+@pytest.fixture
+def live_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    yield
+    stop.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("case", ["no os.fork", "one cpu", "live thread", "one item"])
+def test_cases_that_must_not_fork_run_here(monkeypatch, request, case):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1 if case == "one cpu" else 2)
+    if case == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    if case == "live thread":
+        request.getfixturevalue("live_thread")
+    items = [3] if case == "one item" else [3, 4, 5]
+    assert forked_map(lambda x: (x, os.getpid()), items) == [(x, os.getpid()) for x in items]
+
+
+def test_usable_cpus_is_at_least_one(monkeypatch):
+    assert numerics.usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert numerics.usable_cpus() == 1

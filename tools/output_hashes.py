@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (arguments to gapnet or to a script of the checkout, reads a CSV)
 COMMANDS = [
     (["synth", "--paper-madelon", "--seed", "1", "--out", "madelon.csv"], False),
+    # 120,040 cells, far above dataset.FORK_CELLS: written on forked ranges
+    (["synth", "--n-samples", "3001", "--seed", "2", "--out", "synth-3001.csv"], False),
     (["clusters", "madelon.csv", "--out", "clusters.json"], True),
     (["train", "madelon.csv", "--epochs", "60", "--seed", "0", "--out", "train"], True),
     (["importance", "train/vanilla.model.json", "madelon.csv", "--repeats", "2",
