@@ -19,6 +19,7 @@ from .evaluation import (
     roc_curve,
 )
 from .models import TrainConfig, predict, predict_subnet, train_gapnet, train_vanilla
+from .numerics import forked_map, usable_cpus
 
 
 class BenchmarkError(RuntimeError):
@@ -27,7 +28,9 @@ class BenchmarkError(RuntimeError):
 
 @dataclass
 class BenchmarkConfig(TrainConfig):
-    """Training settings plus the number of resamples and of worker processes."""
+    """Training settings plus the number of resamples and `jobs`, the most
+    processes the resamples run on (never more than the runs or the usable
+    CPUs)."""
 
     runs: int = 100
     jobs: int = 1
@@ -76,8 +79,7 @@ def run_single(ds, plan, cfg, run_index):
     }
 
 
-def _worker(args):
-    ds, plan, cfg, run_index = args
+def _worker(ds, plan, cfg, run_index):
     try:
         return run_single(ds, plan, cfg, run_index)
     except Exception as exc:
@@ -87,23 +89,21 @@ def _worker(args):
 
 
 def run_benchmark(ds, plan=None, cfg=None):
-    """All runs plus aggregation; identical output regardless of job count."""
+    """All runs plus aggregation; identical output regardless of job count.
+
+    The runs are cut into min(jobs, runs, usable CPUs) contiguous ranges.
+    The first range runs in this process and each other one on a forked
+    child (`forked_map`), so the results come back in run order and the
+    first failing run is the one whose error is raised.
+    """
     cfg = cfg or BenchmarkConfig()
     if plan is None:
         plan = signature_clusters(ds)
-    tasks = [(ds, plan, cfg, i) for i in range(cfg.runs)]
-    if cfg.jobs > 1:
-        # imported only here: its import takes longer than the rest of this
-        # module's, and every gapnet process would pay it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool starts all its workers at once, so no more than there are runs
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.runs)) as pool:
-            results = list(pool.map(_worker, tasks))
-    else:
-        results = [_worker(t) for t in tasks]
-    results.sort(key=lambda r: r["run"])
-    return aggregate_benchmark(results, plan, cfg)
+    parts = min(cfg.jobs, cfg.runs, usable_cpus())
+    cuts = [cfg.runs * i // parts for i in range(parts + 1)]
+    ranges = forked_map(lambda b: [_worker(ds, plan, cfg, i) for i in range(*b)],
+                        zip(cuts, cuts[1:]))
+    return aggregate_benchmark([res for runs in ranges for res in runs], plan, cfg)
 
 
 def aggregate_benchmark(results, plan, cfg):

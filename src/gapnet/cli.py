@@ -34,7 +34,7 @@ from .models import (
     train_gapnet,
     train_vanilla,
 )
-from .numerics import pin_blas_threads
+from .numerics import blas_build, pin_blas_threads
 from .synth import (
     MadelonConfig,
     SynthError,
@@ -275,6 +275,7 @@ def cmd_benchmark(args):
     manifest = {
         **config_snapshot,
         "per_run_seeds": [run_seed(cfg, i) for i in range(cfg.runs)],
+        **blas_build(),
         "artifacts": {
             "report": str(out / "report.json"),
             "roc_csv": str(out / "roc.csv"),
@@ -418,7 +419,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # before any pool forks, so serial runs and workers compute alike
+    # before any child is forked, so every process computes alike
     pin_blas_threads()
     try:
         return args.func(args)

@@ -31,12 +31,13 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# OpenBLAS thread-count setters, by the symbol names numpy's wheels have used
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
+# the prefixes and suffixes around OpenBLAS's symbol names ("get_config")
+# that numpy's wheels have used
+_BLAS_NAMINGS = (
+    ("scipy_openblas_", "64_"),
+    ("scipy_openblas_", ""),
+    ("openblas_", "64_"),
+    ("openblas_", ""),
 )
 
 
@@ -49,8 +50,10 @@ class NonFiniteError(NumericsError):
 
 
 @functools.cache
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS bundled with numpy, or None."""
+def _openblas():
+    """The OpenBLAS bundled with numpy, as a function from a symbol's base
+    name ("set_num_threads") to that symbol; None when no bundled OpenBLAS
+    with a known naming is found."""
     base = os.path.dirname(np.__file__)
     paths = glob.glob(os.path.join(base, os.pardir, "numpy.libs", "*openblas*"))
     paths += glob.glob(os.path.join(base, ".libs", "*openblas*"))
@@ -59,12 +62,9 @@ def _blas_thread_setter():
             lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
         except OSError:
             continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+        for prefix, suffix in _BLAS_NAMINGS:
+            if hasattr(lib, f"{prefix}set_num_threads{suffix}"):
+                return lambda name: getattr(lib, prefix + name + suffix)
     return None
 
 
@@ -72,12 +72,25 @@ def pin_blas_threads():
     """Run the OpenBLAS bundled with numpy on one thread.
 
     A GEMM's bits depend on how many threads split it, so output is only
-    reproducible at a fixed count. Forked workers inherit the setting. Does
-    nothing when no bundled OpenBLAS or setter symbol is found.
+    reproducible at a fixed count. Forked children inherit the setting.
+    Does nothing when no bundled OpenBLAS is found.
     """
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
+    blas = _openblas()
+    if blas is not None:
+        blas("set_num_threads")(1)
+
+
+def blas_build():
+    """What sets the output bits besides the inputs: numpy's version, the
+    bundled OpenBLAS's config string, which names its GEMM kernel, and its
+    thread count; the last two are None when no bundled OpenBLAS is found."""
+    blas = _openblas()
+    config = threads = None
+    if blas is not None:
+        get_config = blas("get_config")
+        get_config.restype = ctypes.c_char_p
+        config, threads = get_config().decode(), blas("get_num_threads")()
+    return {"numpy_version": np.__version__, "blas_config": config, "blas_threads": threads}
 
 
 def usable_cpus():

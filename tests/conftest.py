@@ -31,6 +31,11 @@ def count_forks(mp):
     return forked
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def paper_madelon():
     """The 1000x40 benchmark with the published gap pattern."""

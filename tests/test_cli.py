@@ -1,16 +1,20 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapnet
 from gapnet import dataset as ds_mod
 from gapnet.cli import main
 from gapnet.clustering import signature_clusters
 from gapnet.dataset import load_csv, save_csv
 from gapnet.models import build_subnet, tile_rows
-from conftest import make_dataset
+from conftest import assert_no_child_left, count_forks, make_dataset
 
 
 @pytest.fixture
@@ -35,6 +39,16 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def python(args, **env):
+    """Run this interpreter on args in a new process that imports this
+    gapnet, with env added to its environment; the finished process."""
+    src = os.path.dirname(os.path.dirname(gapnet.__file__))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True)
 
 
 def test_synth_paper_madelon(tmp_path, capsys):
@@ -178,6 +192,39 @@ def test_benchmark_smoke_and_sections(tiny_csv, tmp_path, capsys):
     assert (out_dir / "histogram.csv").exists()
 
 
+def test_manifest_records_what_sets_the_output_bits(tiny_csv, tmp_path):
+    from gapnet import numerics
+
+    done = python(["-m", "gapnet.cli", "benchmark", tiny_csv, "--missing-token", "",
+                   "--runs", 2, "--epochs", 1, "--out", tmp_path / "b"],
+                  OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    if numerics._openblas() is None:
+        assert manifest["blas_config"] is manifest["blas_threads"] is None
+    else:
+        # the config string names the GEMM kernel; the count is the pinned one
+        assert manifest["blas_config"].startswith("OpenBLAS ")
+        assert manifest["blas_threads"] == 1
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert {"numpy_version", "blas_config", "blas_threads"}.isdisjoint(report)
+
+
+def test_manifest_blas_fields_are_none_without_a_bundled_openblas(
+    tiny_csv, tmp_path, capsys, monkeypatch
+):
+    from gapnet import numerics
+
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
+    code, _, _ = run(capsys, "benchmark", tiny_csv, "--runs", 2, "--epochs", 1,
+                     "--out", tmp_path / "b")
+    assert code == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["blas_config"] is None and manifest["blas_threads"] is None
+
+
 def test_report_bytes_do_not_depend_on_input_paths(tiny_csv, tmp_path, capsys):
     plan = {"a": ["f1", "f2"], "b": ["f3", "f4"]}
     reports = []
@@ -302,34 +349,65 @@ def test_benchmark_config_keys():
     }
 
 
-@pytest.mark.parametrize("runs,jobs,workers", [(2, 4, 2), (3, 2, 2)])
-def test_pool_has_at_most_one_worker_per_run(tiny_csv, monkeypatch, runs, jobs, workers):
-    import concurrent.futures
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPUs that run_benchmark and forked_map see; the pids
+    os.fork returned here."""
+    from gapnet import benchmark, numerics
 
+    def set_cpus(n):
+        monkeypatch.setattr(benchmark, "usable_cpus", lambda: n)
+        monkeypatch.setattr(numerics, "usable_cpus", lambda: n)
+        return count_forks(monkeypatch)
+
+    return set_cpus
+
+
+@pytest.mark.parametrize("runs,jobs,n_cpus,forks", [
+    (2, 4, 8, 1), (3, 2, 8, 1), (5, 8, 3, 2), (4, 1, 8, 0), (4, 4, 1, 0),
+])
+def test_one_process_per_range_of_runs(tiny_csv, cpus, runs, jobs, n_cpus, forks):
     from gapnet.benchmark import BenchmarkConfig, run_benchmark
 
-    sizes = []
-
-    class SerialPool:
-        """Records its size and runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # the pool starts all its workers at once, whether they get a run or not
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # never more processes than runs, jobs or usable CPUs; the calling process
+    # runs the first range, so it forks one child fewer
+    forked = cpus(n_cpus)
     ds = load_csv(tiny_csv, missing_token="")
-    run_benchmark(ds, cfg=BenchmarkConfig(runs=runs, jobs=jobs, epochs=1))
-    assert sizes == [workers]
+    report = run_benchmark(ds, cfg=BenchmarkConfig(runs=runs, jobs=jobs, epochs=1))
+    assert len(forked) == forks
+    assert [r["run"] for r in report["per_run"]] == list(range(runs))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing,named", [({1, 2}, 1), ({2, 3}, 2), ({3}, 3)])
+def test_the_first_failing_run_is_raised(tiny_csv, cpus, monkeypatch, failing, named):
+    from gapnet import benchmark
+    from gapnet.benchmark import BenchmarkConfig, BenchmarkError, run_benchmark
+
+    run_single = benchmark.run_single
+
+    def fail_some(ds, plan, cfg, run_index):
+        if run_index in failing:
+            raise RuntimeError(f"boom in {run_index}")
+        return run_single(ds, plan, cfg, run_index)
+
+    # runs 0-1 train in this process, runs 2-3 on one forked child
+    forked = cpus(2)
+    monkeypatch.setattr(benchmark, "run_single", fail_some)
+    ds = load_csv(tiny_csv, missing_token="")
+    with pytest.raises(BenchmarkError, match=f"^run {named} .*boom in {named}$"):
+        run_benchmark(ds, cfg=BenchmarkConfig(runs=4, jobs=2, epochs=1))
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_benchmark_jobs_imports_no_process_pool(tiny_csv, tmp_path):
+    argv = ["benchmark", str(tiny_csv), "--missing-token", "", "--runs", "2", "--epochs", "1",
+            "--jobs", "2", "--out", str(tmp_path / "b")]
+    done = python(["-c", "import sys; from gapnet.cli import main; "
+                   f"assert main({argv!r}) == 0; print('concurrent.futures' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("model", [[1], {"kind": "gapnet"}, {"kind": "forest"}])
@@ -343,21 +421,8 @@ def test_importance_rejects_invalid_model_file(tiny_csv, tmp_path, capsys, model
 
 def trace(argv, spans):
     """Run one gapnet command under the benchmark's tracer; its spans."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import gapnet
-
     root = Path(__file__).resolve().parent.parent
-    src = os.path.dirname(os.path.dirname(gapnet.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
-         "gapnet", "--", *map(str, argv)],
-        env=env, capture_output=True, text=True,
-    )
+    done = python([root / "perfbench" / "tracer.py", "--spans", spans, "gapnet", "--", *argv])
     assert done.returncode == 0, done.stderr
     return json.loads(spans.read_text())
 
@@ -419,6 +484,27 @@ def test_tracer_counts_the_rows_of_overlapped_fits(tmp_path):
     assert sorted(parents) == ["models.train_stage1"] * 2 + ["models.train_vanilla"]
 
 
+def test_tracer_counts_the_rows_of_forked_runs(tiny_csv, tmp_path):
+    from gapnet.numerics import usable_cpus
+
+    ds = load_csv(tiny_csv, missing_token="")
+    plan = signature_clusters(ds)
+    n_test = int(0.2 * ds.complete_rows().size)
+    # each run: a baseline, each cluster and stage II on their complete rows
+    # minus the test rows
+    rows = 2 * (ds.complete_rows().size - n_test)
+    rows += sum(ds.complete_rows_for(c.features).size - n_test for c in plan.clusters)
+    spans = trace(["benchmark", tiny_csv, "--missing-token", "", "--runs", 3, "--jobs", 2,
+                   "--epochs", 2, "--out", tmp_path / "b"], tmp_path / "spans.json")
+    fits = [s for s in spans if s[1] in ("models.fit_network", "models.fit_gapnet")]
+    assert sum(s[6]["rows"] * s[6]["epochs"] for s in fits) == 3 * 2 * rows
+    assert len(fits) == 3 * (2 + len(plan.clusters))
+    # run 0 trains in the traced process, runs 1-2 on one forked child
+    assert len({s[5] for s in fits}) == min(2, usable_cpus())
+    ids = {s[0] for s in spans}
+    assert all(s[4] is None or s[4] in ids for s in spans)
+
+
 def test_importance_command(tiny_csv, tmp_path, capsys):
     out_dir = tmp_path / "out"
     run(capsys, "train", tiny_csv, "--model", "gapnet", "--epochs", 30, "--out", out_dir)
@@ -473,26 +559,15 @@ def test_divergence_is_a_runtime_error(tiny_csv, tmp_path, capsys, monkeypatch):
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
-    import os
-    import subprocess
-    import sys
-
-    import gapnet
-
     # the paper dataset's GEMMs are large enough for OpenBLAS to split
     csv_path = tmp_path / "m.csv"
     run(capsys, "synth", "--paper-madelon", "--seed", 0, "--out", csv_path)
-    src = os.path.dirname(os.path.dirname(gapnet.__file__))
     reports = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out_dir = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "gapnet.cli", "benchmark", str(csv_path),
-             "--missing-token", "", "--runs", "2", "--epochs", "3", "--seed", "0",
-             "--out", str(out_dir)],
-            env=env, check=True, capture_output=True,
-        )
+        done = python(["-m", "gapnet.cli", "benchmark", csv_path, "--missing-token", "",
+                       "--runs", 2, "--epochs", 3, "--seed", 0, "--out", out_dir],
+                      OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
         reports.append((out_dir / "report.json").read_bytes())
     assert reports[0] == reports[1]

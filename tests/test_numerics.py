@@ -22,7 +22,7 @@ from gapnet.numerics import (
     relu,
     sigmoid,
 )
-from conftest import count_forks
+from conftest import assert_no_child_left, count_forks
 
 
 def make_net(widths, activations, seed=0):
@@ -292,11 +292,6 @@ def test_workspace_takes_batches_of_its_own_size_only():
             net.forward(x, mode="train", workspace=Workspace(net, rows))
         with pytest.raises(NumericsError, match=f"batch of 4 rows in a workspace of {rows}"):
             net.backprop(cache, np.ones(4), workspace=Workspace(net, rows))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

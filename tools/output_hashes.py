@@ -38,6 +38,9 @@ COMMANDS = [
       "--out", "train/gapnet.importance.json"], True),
     (["benchmark", "madelon.csv", "--runs", "3", "--epochs", "40", "--seed", "5",
       "--jobs", "2", "--out", "benchmark"], True),
+    # three ranges of runs, two of them on forked children where 3 CPUs are usable
+    (["benchmark", "madelon.csv", "--runs", "3", "--epochs", "40", "--seed", "5",
+      "--jobs", "3", "--out", "benchmark-3"], True),
     (["benchmark", "madelon.csv", "--runs", "2", "--epochs", "30", "--seed", "3",
       "--no-normalize", "--no-stratify", "--test-fraction", "0.3", "--batch-size", "50",
       "--unfreeze-bodies", "--out", "benchmark-minibatch"], True),
