@@ -10,6 +10,7 @@ import numpy as np
 from . import dataset as ds_mod
 from .clustering import signature_clusters
 from .evaluation import (
+    DegenerateComparison,
     aggregate_runs,
     auc,
     confusion_at,
@@ -106,6 +107,16 @@ def run_benchmark(ds, plan=None, cfg=None):
     return aggregate_benchmark([res for runs in ranges for res in runs], plan, cfg)
 
 
+def _delong(scores, labels):
+    """delong_test of gapnet against the baseline. AUCs that differ with zero
+    variance, as when one model ranks every positive-negative pair rightly
+    and the other every pair wrongly, have no z: z and p are None (null)."""
+    try:
+        return delong_test(scores["gapnet"], scores["vanilla"], labels)
+    except DegenerateComparison as exc:
+        return exc.result
+
+
 def aggregate_benchmark(results, plan, cfg):
     model_names = ["gapnet", "vanilla"] + [c.name for c in plan.clusters]
     report = {"models": {}, "per_run": results}
@@ -139,9 +150,9 @@ def aggregate_benchmark(results, plan, cfg):
         }
     per_run_delong = []
     for res, y in zip(results, labels):
-        d = delong_test(res["scores"]["gapnet"], res["scores"]["vanilla"], y)
+        d = _delong(res["scores"], y)
         per_run_delong.append({"run": res["run"], "z": d.z, "p": d.p})
-    pooled_d = delong_test(pooled["gapnet"], pooled["vanilla"], pooled_labels)
+    pooled_d = _delong(pooled, pooled_labels)
     report["delong"] = {
         "pooled": {
             "auc_gapnet": pooled_d.auc_a,

@@ -13,6 +13,15 @@ class EvaluationError(ValueError):
     pass
 
 
+class DegenerateComparison(EvaluationError):
+    """Two AUCs that differ with zero variance, where no z is defined.
+    `result` holds the AUCs, variance 0 and z and p None."""
+
+    def __init__(self, result):
+        super().__init__("degenerate: zero variance with unequal AUCs")
+        self.result = result
+
+
 def _check_classes(labels):
     labels = np.asarray(labels)
     if not ((labels == 0).any() and (labels == 1).any()):
@@ -132,8 +141,8 @@ class DelongResult:
     auc_a: float
     auc_b: float
     variance: float  # of the AUC difference
-    z: float
-    p: float
+    z: float | None
+    p: float | None
 
 
 def structural_components(scores, labels):
@@ -176,7 +185,7 @@ def delong_test(scores_a, scores_b, labels):
     if var <= 0:
         if auc_a == auc_b:
             return DelongResult(auc_a, auc_b, 0.0, 0.0, 1.0)
-        raise EvaluationError("degenerate: zero variance with unequal AUCs")
+        raise DegenerateComparison(DelongResult(auc_a, auc_b, 0.0, None, None))
     z = (auc_a - auc_b) / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))  # 2 * (1 - Phi(|z|))
     return DelongResult(auc_a, auc_b, var, z, p)

@@ -118,19 +118,36 @@ def _pack(named_layers):
     return flat
 
 
-def _epochs(n, cfg, rng, step):
-    """The epoch and minibatch loop of every fit. `step(rows)` takes one Adam
-    step on a batch; rows None means all n rows in order."""
+def _training_set(X, y, message, check=lambda X: None):
+    """X as one C-ordered float64 copy at most (a GEMM's bits depend on its
+    operands' layout) and y as float64. `check(X)` runs first; then an X of
+    no rows raises TrainingError(message)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    check(X)
+    if X.shape[0] == 0:
+        raise TrainingError(message)
+    return X, np.asarray(y, dtype=np.float64)
+
+
+def _fit(named, X, y, cfg, rng, gradients):
+    """The training loop of every fit: Adam on mean BCE over the parameters
+    of the `(name, layer)` pairs, packed in that order, for cfg.epochs
+    epochs of one full batch or of batches of cfg.batch_size rows in an
+    order drawn from rng. `gradients(Xb, yb, out)` returns a batch's
+    gradients as a FlatBuffer laid out like the packed parameters: `out`,
+    which it fills, or one of its own."""
+    params = _pack(named)
+    out = FlatBuffer([v.shape for v in params.views], params.names)
+    state = AdamState(learning_rate=cfg.learning_rate)
     pin_blas_threads()
+    n = len(X)
     full = cfg.batch_size is None or cfg.batch_size >= n
     try:
         for _ in range(cfg.epochs):
-            if full:
-                step(None)
-                continue
-            order = rng.permutation(n)
-            for i in range(0, n, cfg.batch_size):
-                step(order[i : i + cfg.batch_size])
+            batches = [slice(None)] if full else np.split(
+                rng.permutation(n), range(cfg.batch_size, n, cfg.batch_size))
+            for rows in batches:
+                adam_step(params, gradients(X[rows], y[rows], out), state)
     except NonFiniteError as exc:
         raise TrainingError(f"training diverged: {exc}") from exc
 
@@ -151,21 +168,11 @@ def fit_network(net, X, y, cfg, rng):
     generator's words where the last tile's stopped, so one dropout layer
     draws the masks of one pass over the whole batch.
     """
-    # one C-ordered copy at most: a GEMM's bits depend on its operands' layout
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    if n == 0:
-        raise TrainingError("empty training set")
-    params = _pack([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable])
-    size = min(n, cfg.batch_size or n)
+    X, y = _training_set(X, y, "empty training set")
     tile = tile_rows(net)
     workspaces = {}  # per tile length, made when first used
-    total = FlatBuffer([v.shape for v in params.views], params.names) if size > tile else None
-    state = AdamState(learning_rate=cfg.learning_rate)
 
-    def step(rows):
-        Xb, yb = (X, y) if rows is None else (X[rows], y[rows])
+    def gradients(Xb, yb, total):
         m = len(yb)
         for start in range(0, m, tile):
             span = min(tile, m - start)
@@ -177,9 +184,10 @@ def fit_network(net, X, y, cfg, rng):
                 total.data += workspace.grads.data
             elif m > tile:
                 np.copyto(total.data, workspace.grads.data)
-        adam_step(params, total if m > tile else workspace.grads, state)
+        return total if m > tile else workspace.grads
 
-    _epochs(n, cfg, rng, step)
+    _fit([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable],
+         X, y, cfg, rng, gradients)
     return net
 
 
@@ -323,12 +331,7 @@ def fit_gapnet(model, X, y, cfg, rng):
     Minibatches get no cache: the cached rows of a batch can differ by an
     ulp from a GEMM over those rows.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    model.check_block(X)
-    n = X.shape[0]
-    if n == 0:
-        raise TrainingError("empty stage-II training set")
+    X, y = _training_set(X, y, "empty stage-II training set", model.check_block)
     named = [("fusion", model.fusion)]
     if not model.freeze_bodies:
         named += [
@@ -336,10 +339,7 @@ def fit_gapnet(model, X, y, cfg, rng):
             for k, body in enumerate(model.bodies)
             for i, layer in enumerate(body.layers)
         ]
-    params = _pack(named)
-    grads = FlatBuffer([v.shape for v in params.views], params.names)
-    state = AdamState(learning_rate=cfg.learning_rate)
-    full_batch = cfg.batch_size is None or cfg.batch_size >= n
+    full_batch = cfg.batch_size is None or cfg.batch_size >= len(X)
     cached = full_batch and model.freeze_bodies and all(
         l.dropout == 0 for body in model.bodies for l in body.layers[:-1]
     )
@@ -347,7 +347,7 @@ def fit_gapnet(model, X, y, cfg, rng):
         hidden = [cache.outputs for cache in model.forward(X)[0]]
         rates = [body.layers[-1].dropout for body in model.bodies]
 
-    def step(rows):
+    def gradients(Xb, yb, out):
         if cached:
             concat = np.hstack([
                 h * dropout_mask(rng, rate, h.shape) if rate > 0 else h
@@ -355,14 +355,12 @@ def fit_gapnet(model, X, y, cfg, rng):
             ])
             caches, scores = None, model.head.forward(concat).outputs
         else:
-            Xb = X if rows is None else X[rows]
             caches, concat, scores = model.forward(Xb, mode="train", rng=rng)
-        yb = y if rows is None else y[rows]
         parts = gapnet_gradients(model, caches, concat, scores, yb)
-        np.concatenate([g.ravel() for g in parts], out=grads.data)
-        adam_step(params, grads, state)
+        np.concatenate([g.ravel() for g in parts], out=out.data)
+        return out
 
-    _epochs(n, cfg, rng, step)
+    _fit(named, X, y, cfg, rng, gradients)
     return model
 
 

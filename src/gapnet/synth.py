@@ -51,8 +51,8 @@ class MadelonConfig:
             raise SynthError(
                 "informative/redundant/noise indices must partition 1..n_features"
             )
-        if self.class_separation <= 0:
-            raise SynthError("class_separation must be positive")
+        if not 0 < self.class_separation < np.inf:  # nan too
+            raise SynthError("class_separation must be positive and finite")
         if self.clusters_per_class < 1:
             raise SynthError("clusters_per_class must be >= 1")
 

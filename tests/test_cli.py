@@ -105,6 +105,16 @@ def test_synth_invalid_config_exit_code(tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "validation"
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf"])
+def test_synth_rejects_a_non_finite_class_separation(tmp_path, capsys, separation):
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(capsys, "synth", "--out", out_csv, "--class-separation", separation)
+    assert code == 2
+    assert json.loads(err.splitlines()[-1])["message"] == (
+        "class_separation must be positive and finite")
+    assert not out_csv.exists()
+
+
 def test_clusters_on_paper_csv(tmp_path, capsys):
     csv_path = tmp_path / "m.csv"
     run(capsys, "synth", "--out", csv_path)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapnet.benchmark import BenchmarkConfig, aggregate_benchmark
+from gapnet.clustering import ClusterPlan, FeatureCluster
 from gapnet.evaluation import (
     EvaluationError,
     RocCurve,
@@ -258,6 +261,25 @@ def test_delong_degenerate_unequal_aucs():
     labels = [1, 0]
     with pytest.raises(EvaluationError, match="degenerate"):
         delong_test([0.9, 0.1], [0.1, 0.9], labels)
+
+
+def test_benchmark_records_a_degenerate_comparison_as_null():
+    # gapnet ranks every test pair wrongly and the baseline every pair
+    # rightly, in each run and pooled: unequal AUCs with zero variance
+    labels = [0, 1, 0, 1]
+    results = [
+        {"run": i, "seed": i, "test_rows": [0, 1, 2, 3], "labels": labels,
+         "scores": {"gapnet": [0.9, 0.1, 0.8, 0.2], "vanilla": [0.1, 0.9, 0.2, 0.8],
+                    "a": [0.5, 0.6, 0.4, 0.7]}}
+        for i in range(2)
+    ]
+    plan = ClusterPlan([FeatureCluster("a", [0])])
+    delong = aggregate_benchmark(results, plan, BenchmarkConfig())["delong"]
+    assert delong["per_run"] == [{"run": i, "z": None, "p": None} for i in range(2)]
+    assert delong["pooled"] == {
+        "auc_gapnet": 0.0, "auc_vanilla": 1.0, "variance": 0.0, "z": None, "p": None,
+    }
+    json.dumps(delong, allow_nan=False)
 
 
 def test_permutation_identity_is_zero_drop():

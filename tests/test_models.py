@@ -475,8 +475,12 @@ def test_paper_madelon_stage1_starts_no_pool(paper_madelon, monkeypatch):
 
 
 def reference_fit_gapnet(model, X, y, cfg, rng):
-    """The plain stage-II loop: a train-mode pass over every body each step."""
+    """The plain stage-II loop: a train-mode pass over every body each step,
+    and list Adam on the fusion node, then, when unfrozen, on every body
+    layer in body order."""
     params = [model.fusion.weights, model.fusion.biases]
+    if not model.freeze_bodies:
+        params += [p for body in model.bodies for l in body.layers for p in (l.weights, l.biases)]
     state = AdamState(learning_rate=cfg.learning_rate)
     for idx in reference_batches(len(X), cfg, rng):
         caches, concat, scores = model.forward(X[idx], mode="train", rng=rng)
@@ -486,6 +490,10 @@ def reference_fit_gapnet(model, X, y, cfg, rng):
 def assert_same_stage2(engine, reference, rng_engine, rng_reference):
     assert np.array_equal(engine.fusion.weights, reference.fusion.weights)
     assert np.array_equal(engine.fusion.biases, reference.fusion.biases)
+    for a, b in zip(engine.bodies, reference.bodies):
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.biases, lb.biases)
     assert rng_engine.random() == rng_reference.random()
 
 
@@ -546,6 +554,17 @@ def test_cached_stage2_matches_reference_loop_at_any_shape(seed):
     assert_same_stage2(engine, reference, rng_engine, rng_reference)
 
 
+@pytest.mark.parametrize("batch_size", [None, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_unfrozen_stage2_matches_reference_loop(seed, batch_size):
+    (engine, reference), X, y = random_fused_pair(seed, freeze_bodies=False)
+    cfg = fast_cfg(epochs=7, batch_size=batch_size)
+    rng_engine, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    fit_gapnet(engine, X, y, cfg, rng_engine)
+    reference_fit_gapnet(reference, X, y, cfg, rng_reference)
+    assert_same_stage2(engine, reference, rng_engine, rng_reference)
+
+
 # 3 epochs of 21 rows: one cached pass, or a pass per step of one or two batches
 @pytest.mark.parametrize(
     "batch_size,freeze,modes",
@@ -580,6 +599,19 @@ def test_divergence_names_the_parameter(monkeypatch):
     X = np.random.default_rng(0).standard_normal((6, 3))
     with pytest.raises(TrainingError, match="non-finite gradient for layer 1 biases"):
         fit_network(build_vanilla(3), X, np.arange(6) % 2, fast_cfg(), np.random.default_rng(0))
+
+
+def test_stage2_divergence_names_the_parameter(monkeypatch):
+    def poisoned(*args):
+        grads = gapnet_gradients(*args)
+        grads[0][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(models, "gapnet_gradients", poisoned)
+    (model, _), X, y = random_fused_pair(0)
+    message = "^training diverged: non-finite gradient for fusion weights$"
+    with pytest.raises(TrainingError, match=message):
+        fit_gapnet(model, X, y, fast_cfg(), np.random.default_rng(0))
 
 
 def tiny_models(tmp_path):

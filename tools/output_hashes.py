@@ -32,6 +32,9 @@ COMMANDS = [
     (["synth", "--n-samples", "3001", "--seed", "2", "--out", "synth-3001.csv"], False),
     (["clusters", "madelon.csv", "--out", "clusters.json"], True),
     (["train", "madelon.csv", "--epochs", "60", "--seed", "0", "--out", "train"], True),
+    # the full-batch stage II over unfrozen bodies, which caches no body output
+    (["train", "madelon.csv", "--epochs", "30", "--seed", "2", "--unfreeze-bodies",
+      "--out", "train-unfrozen"], True),
     (["importance", "train/vanilla.model.json", "madelon.csv", "--repeats", "2",
       "--out", "train/vanilla.importance.json"], True),
     (["importance", "train/gapnet.model.json", "madelon.csv", "--repeats", "2",
