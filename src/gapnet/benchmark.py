@@ -48,35 +48,44 @@ def run_seed(cfg, run_index):
     return cfg.seed ^ run_index
 
 
-def prepare_run(ds, cfg, run_index):
-    """Run i's split, normalization stats (None when off), the data the models
-    train on, and cfg with the run's seed. `gapnet train --seed s` is run 0."""
+def train_run(ds, plan, cfg, run_index, models=("vanilla", "gapnet")):
+    """Run i: split, normalize, train the named models and score them on the
+    test rows. Returns the split, the normalization stats (None when off),
+    cfg with the run's seed, the trained models by name, and the test-row
+    scores of each model and sub-network by name. `gapnet train --seed s`
+    is run 0."""
     seed = run_seed(cfg, run_index)
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
     split = ds_mod.split(ds, cfg.test_fraction, split_rng, stratified=cfg.stratified)
+    test = split.test_rows
+    if np.unique(ds.labels[test]).size < 2:
+        raise ds_mod.DatasetError(f"the {test.size} test row(s) hold one class only; "
+                                  "a run needs both classes among its test rows")
     stats = ds_mod.compute_stats(ds, split.train_rows) if cfg.normalize else None
     work = ds_mod.normalize(ds, stats) if cfg.normalize else ds
-    return split, stats, work, replace(cfg, seed=seed)
+    cfg = replace(cfg, seed=seed)
+    trained, scores = {}, {}
+    if "vanilla" in models:
+        trained["vanilla"] = train_vanilla(work, split, cfg)
+        scores["vanilla"] = predict(trained["vanilla"], work, test)
+    if "gapnet" in models:
+        trained["gapnet"], subnets = train_gapnet(work, plan, split, cfg)
+        scores["gapnet"] = predict(trained["gapnet"], work, test)
+        for net, cluster in zip(subnets, plan.clusters):
+            scores[cluster.name] = predict_subnet(net, cluster, work, test)
+    return split, stats, cfg, trained, scores
 
 
 def run_single(ds, plan, cfg, run_index):
     """One resampled split: train every model, score the shared test rows."""
-    split, _, work, tcfg = prepare_run(ds, cfg, run_index)
-    vanilla = train_vanilla(work, split, tcfg)
-    gap_model, subnets = train_gapnet(work, plan, split, tcfg)
+    split, _, tcfg, _, scores = train_run(ds, plan, cfg, run_index)
     test = split.test_rows
-    scores = {
-        "vanilla": predict(vanilla, work, test).tolist(),
-        "gapnet": predict(gap_model, work, test).tolist(),
-    }
-    for net, cluster in zip(subnets, plan.clusters):
-        scores[cluster.name] = predict_subnet(net, cluster, work, test).tolist()
     return {
         "run": run_index,
         "seed": tcfg.seed,
         "test_rows": test.tolist(),
         "labels": ds.labels[test].tolist(),
-        "scores": scores,
+        "scores": {name: s.tolist() for name, s in scores.items()},
     }
 
 

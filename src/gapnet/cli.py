@@ -19,10 +19,12 @@ import numpy as np
 
 from . import __version__
 from . import dataset as ds_mod
-from .benchmark import BenchmarkConfig, prepare_run, run_benchmark, run_seed
+from .benchmark import BenchmarkConfig, run_benchmark, run_seed, train_run
 from .clustering import ClusteringError, load_plan, signature_clusters, validate_plan
 from .dataset import DatasetError
 from .evaluation import auc, importance_report
+# perfbench/tracer.py wraps train_vanilla, train_gapnet, predict and
+# predict_subnet where it finds them on this module, though train_run calls them
 from .models import (
     GapNetModel,
     TrainConfig,
@@ -60,6 +62,14 @@ def _write_json(obj, path):
 def _config_hash(config):
     blob = json.dumps(config, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _input_hashes(args, ds):
+    """The sha256 of the dataset and plan files (None without a plan)."""
+    return {
+        "dataset_sha256": ds.sha256 or ds_mod.file_sha256(args.dataset),
+        "plan_sha256": ds_mod.file_sha256(args.plan) if args.plan else None,
+    }
 
 
 def _out_dir(arg):
@@ -209,41 +219,27 @@ def cmd_train(args):
     cfg = _train_config(args)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
-    split, stats, work, cfg = prepare_run(ds, cfg, 0)
     out = _out_dir(args.out)
+    models = [m for m in ("vanilla", "gapnet") if args.model in (m, "both")]
+    split, stats, _, trained, scores = train_run(ds, plan, cfg, 0, models)
     # inputs by content and no output path, as in report.json's config_hash:
     # one run gives the same report from any directory
     config = {k: v for k, v in vars(args).items() if k not in ("func", "dataset", "plan", "out")}
-    config["dataset_sha256"] = ds.sha256 or ds_mod.file_sha256(args.dataset)
-    config["plan_sha256"] = ds_mod.file_sha256(args.plan) if args.plan else None
     report = {
-        "config": config,
+        "config": {**config, **_input_hashes(args, ds)},
         "version": __version__,
         "test_rows": split.test_rows.tolist(),
         "models": {},
     }
-    test = split.test_rows
-    labels = ds.labels[test]
-    if args.model in ("vanilla", "both"):
-        net = train_vanilla(work, split, cfg)
-        path = out / "vanilla.model.json"
-        save_model(net, path, feature_names=ds.feature_names, normalization=stats)
-        report["models"]["vanilla"] = {
-            "path": path.name,
-            "test_auc": auc(predict(net, work, test), labels),
-        }
-    if args.model in ("gapnet", "both"):
-        model, subnets = train_gapnet(work, plan, split, cfg)
-        path = out / "gapnet.model.json"
+    labels = ds.labels[split.test_rows]
+    # saved once every model has trained, so a failed run leaves no model file
+    for name, model in trained.items():
+        path = out / f"{name}.model.json"
         save_model(model, path, feature_names=ds.feature_names, normalization=stats)
-        stage1 = {
-            c.name: auc(predict_subnet(net, c, work, test), labels)
-            for net, c in zip(subnets, plan.clusters)
-        }
-        report["models"]["gapnet"] = {
-            "path": path.name,
-            "test_auc": auc(predict(model, work, test), labels),
-            "stage1_test_auc": stage1,
+        report["models"][name] = {"path": path.name, "test_auc": auc(scores[name], labels)}
+    if "gapnet" in trained:
+        report["models"]["gapnet"]["stage1_test_auc"] = {
+            c.name: auc(scores[c.name], labels) for c in plan.clusters
         }
     report_path = out / "train_report.json"
     _write_json(report, report_path)
@@ -260,9 +256,8 @@ def cmd_benchmark(args):
     config_snapshot = {
         "command": "benchmark",
         "dataset": str(args.dataset),
-        "dataset_sha256": ds.sha256 or ds_mod.file_sha256(args.dataset),
+        **_input_hashes(args, ds),
         "plan_file": args.plan,
-        "plan_sha256": ds_mod.file_sha256(args.plan) if args.plan else None,
         "benchmark": vars(cfg).copy(),
         "version": __version__,
     }

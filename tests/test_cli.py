@@ -311,6 +311,78 @@ def test_train_is_benchmark_run_zero(tiny_csv, tmp_path, capsys, setup):
     assert aucs == {name: entry["aucs"][0] for name, entry in bench["models"].items()}
 
 
+@pytest.mark.parametrize("command,flags,fits,message", [
+    # run 0 of seed 0 draws 2 test rows of one class
+    ("train", ["--seed", 0], 0, "the 2 test row(s) hold one class only"),
+    # run 0 of seed 1 draws both classes, run 1 (seed 1 ^ 1 = 0) draws one
+    ("benchmark", ["--seed", 1, "--runs", 2], 3,
+     "run 1 (seed 0) failed: the 2 test row(s) hold one class only"),
+], ids=["train", "benchmark"])
+def test_one_class_test_rows_fail_before_the_run_trains(
+    tiny_csv, tmp_path, capsys, monkeypatch, command, flags, fits, message
+):
+    from gapnet import models
+
+    calls, fit_network = [], models.fit_network
+
+    def counted(*args):
+        calls.append(1)
+        return fit_network(*args)
+
+    monkeypatch.setattr(models, "fit_network", counted)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, tiny_csv, "--no-stratify", "--test-fraction", 0.05,
+                       "--epochs", 2, *flags, "--out", out_dir)
+    assert code == 2
+    assert json.loads(err.splitlines()[-1])["message"].startswith(message)
+    # a finished run 0 trains a baseline and one sub-network per cluster
+    assert len(calls) == fits
+    assert not list(tmp_path.rglob("*.model.json"))
+
+
+def test_train_writes_no_model_unless_every_model_trained(
+    tiny_csv, tmp_path, capsys, monkeypatch
+):
+    from gapnet import models
+
+    def diverged(*args):
+        raise models.TrainingError("training diverged: stage II")
+
+    monkeypatch.setattr(models, "fit_gapnet", diverged)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "train", tiny_csv, "--epochs", 2, "--out", out_dir)
+    assert code == 3
+    assert json.loads(err.splitlines()[-1])["message"] == "training diverged: stage II"
+    assert not list(out_dir.glob("*.model.json"))
+    assert not (out_dir / "train_report.json").exists()
+
+
+def test_each_model_trains_alone_as_in_both(tiny_csv, tmp_path, capsys):
+    # each model draws from its own stream, so training one leaves the other's bits alone
+    for model in ("both", "vanilla", "gapnet"):
+        code, _, _ = run(capsys, "train", tiny_csv, "--model", model, "--epochs", 5,
+                         "--out", tmp_path / model)
+        assert code == 0
+    both = json.loads((tmp_path / "both" / "train_report.json").read_text())
+    for model in ("vanilla", "gapnet"):
+        alone = json.loads((tmp_path / model / "train_report.json").read_text())
+        assert alone["models"] == {model: both["models"][model]}
+        assert alone["test_rows"] == both["test_rows"]
+        name = f"{model}.model.json"
+        assert (tmp_path / model / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+
+
+def test_train_run_trains_and_scores_only_the_named_models(tiny_csv):
+    from gapnet.benchmark import BenchmarkConfig, train_run
+
+    ds = load_csv(tiny_csv, missing_token="")
+    split, stats, cfg, trained, scores = train_run(
+        ds, signature_clusters(ds), BenchmarkConfig(epochs=2, seed=4), 1, models=("vanilla",))
+    assert list(trained) == list(scores) == ["vanilla"]
+    assert cfg.seed == 4 ^ 1 and stats is not None
+    assert scores["vanilla"].shape == split.test_rows.shape
+
+
 def test_benchmark_cluster_order_descends(tiny_csv, tmp_path, capsys):
     out_dir = tmp_path / "bench"
     run(capsys, "benchmark", tiny_csv, "--runs", 3, "--epochs", 30, "--out", out_dir)

@@ -32,6 +32,11 @@ COMMANDS = [
     (["synth", "--n-samples", "3001", "--seed", "2", "--out", "synth-3001.csv"], False),
     (["clusters", "madelon.csv", "--out", "clusters.json"], True),
     (["train", "madelon.csv", "--epochs", "60", "--seed", "0", "--out", "train"], True),
+    # one model of the run alone
+    (["train", "madelon.csv", "--epochs", "60", "--seed", "0", "--model", "vanilla",
+      "--out", "train-vanilla"], True),
+    (["train", "madelon.csv", "--epochs", "60", "--seed", "0", "--model", "gapnet",
+      "--out", "train-gapnet"], True),
     # the full-batch stage II over unfrozen bodies, which caches no body output
     (["train", "madelon.csv", "--epochs", "30", "--seed", "2", "--unfreeze-bodies",
       "--out", "train-unfrozen"], True),
