@@ -174,9 +174,7 @@ def aggregate_benchmark(results, plan, cfg):
         "per_run": per_run_delong,
     }
     # single-cluster models listed in descending order of median AUC
-    cluster_names = [c.name for c in plan.clusters]
     report["cluster_order"] = sorted(
-        cluster_names,
-        key=lambda n: -report["models"][n]["boxplot"]["median"],
+        model_names[2:], key=lambda n: -report["models"][n]["boxplot"]["median"]
     )
     return report

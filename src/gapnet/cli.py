@@ -59,11 +59,6 @@ def _write_json(obj, path):
     return text
 
 
-def _config_hash(config):
-    blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _input_hashes(args, ds):
     """The sha256 of the dataset and plan files (None without a plan)."""
     return {
@@ -251,8 +246,8 @@ def cmd_benchmark(args):
     cfg = BenchmarkConfig(**vars(_train_config(args)), runs=args.runs, jobs=args.jobs)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
+    out = _out_dir(args.out)  # a bad --out fails before any run trains
     report = run_benchmark(ds, plan, cfg)
-    out = _out_dir(args.out)
     config_snapshot = {
         "command": "benchmark",
         "dataset": str(args.dataset),
@@ -265,7 +260,7 @@ def cmd_benchmark(args):
     # one run hashes alike from any directory and with any worker count
     hashed = {k: v for k, v in config_snapshot.items() if k not in ("dataset", "plan_file")}
     hashed["benchmark"] = {k: v for k, v in vars(cfg).items() if k != "jobs"}
-    report["config_hash"] = _config_hash(hashed)
+    report["config_hash"] = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
     report["version"] = __version__
     manifest = {
         **config_snapshot,
@@ -294,10 +289,8 @@ def cmd_benchmark(args):
                     writer.writerow([name, *map(repr, row)])
     summary = {
         "report": str(out / "report.json"),
-        "gapnet_auc": f"{report['models']['gapnet']['auc_mean']:.3f}"
-        f"±{report['models']['gapnet']['auc_std']:.3f}",
-        "vanilla_auc": f"{report['models']['vanilla']['auc_mean']:.3f}"
-        f"±{report['models']['vanilla']['auc_std']:.3f}",
+        **{f"{name}_auc": "{auc_mean:.3f}±{auc_std:.3f}".format(**report["models"][name])
+           for name in ("gapnet", "vanilla")},
         "delong_z": report["delong"]["pooled"]["z"],
         "delong_p": report["delong"]["pooled"]["p"],
     }

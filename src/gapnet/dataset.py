@@ -346,9 +346,12 @@ def save_csv(ds, path, missing_token="", label_column="label"):
 def split(ds, test_fraction, rng, stratified=True):
     """Draw a test set from the complete rows; everything else trains.
 
-    The test size is floor(test_fraction * n_complete). With stratification
-    the per-class test counts follow the complete-row class proportions
-    (largest-remainder rounding to hit the exact total).
+    The test size is floor(test_fraction * n_complete). The complete rows
+    are cut into groups: one per class when stratified, else one group of
+    all of them. Each group's test count follows its share of the complete
+    rows (largest-remainder rounding to hit the exact total, so a lone group
+    gets all of it), and each group draws its rows with one `choice` of rng,
+    in group order.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DatasetError("test_fraction must be in (0, 1)")
@@ -358,25 +361,23 @@ def split(ds, test_fraction, rng, stratified=True):
         raise DatasetError(
             f"too few complete rows ({complete.size}) for test fraction {test_fraction}"
         )
+    groups = [complete]
     if stratified:
-        test_parts = []
-        class_rows = [complete[ds.labels[complete] == c] for c in (0, 1)]
-        if any(rows.size == 0 for rows in class_rows):
+        groups = [complete[ds.labels[complete] == c] for c in (0, 1)]
+        if any(rows.size == 0 for rows in groups):
             raise DatasetError("stratified split needs both classes among complete rows")
-        quotas = [n_test * rows.size / complete.size for rows in class_rows]
-        counts = [int(q) for q in quotas]
-        # hand out the remainder by largest fractional part, class 0 first on ties
-        order = sorted(range(2), key=lambda c: (counts[c] - quotas[c], c))
-        for c in order[: n_test - sum(counts)]:
-            counts[c] += 1
-        for rows, count in zip(class_rows, counts):
-            if count > rows.size:
-                raise DatasetError("not enough complete rows in one class")
-            picked = rng.choice(rows, size=count, replace=False)
-            test_parts.append(picked)
-        test_rows = np.sort(np.concatenate(test_parts))
-    else:
-        test_rows = np.sort(rng.choice(complete, size=n_test, replace=False))
+    quotas = [n_test * rows.size / complete.size for rows in groups]
+    counts = [int(q) for q in quotas]
+    # hand out the remainder by largest fractional part, first group on ties
+    order = sorted(range(len(groups)), key=lambda g: (counts[g] - quotas[g], g))
+    for g in order[: n_test - sum(counts)]:
+        counts[g] += 1
+    test_parts = []
+    for rows, count in zip(groups, counts):
+        if count > rows.size:
+            raise DatasetError("not enough complete rows in one class")
+        test_parts.append(rng.choice(rows, size=count, replace=False))
+    test_rows = np.sort(np.concatenate(test_parts))
     in_test = np.zeros(ds.n_samples, dtype=bool)
     in_test[test_rows] = True
     train_rows = np.flatnonzero(~in_test)

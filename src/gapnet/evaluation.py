@@ -60,7 +60,6 @@ def auc(scores, labels):
 
 @dataclass
 class RocCurve:
-    thresholds: np.ndarray  # descending
     fpr: np.ndarray
     tpr: np.ndarray
 
@@ -77,10 +76,9 @@ def roc_curve(scores, labels):
     distinct = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
     tp = np.cumsum(y == 1)[distinct]
     fp = np.cumsum(y == 0)[distinct]
-    thresholds = np.r_[np.inf, s[distinct]]
     tpr = np.r_[0.0, tp / m]
     fpr = np.r_[0.0, fp / n]
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
+    return RocCurve(fpr=fpr, tpr=tpr)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -106,12 +104,14 @@ class MetricReport:
     precision: float | None
 
 
-def confusion_at(scores, labels, threshold=0.5):
+def confusion_at(scores, labels):
+    """Counts of the rows scored at least 0.5 (predicted positive) and
+    below it, against their labels."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.size == 0:
         raise EvaluationError("empty input")
-    predicted = scores >= threshold
+    predicted = scores >= 0.5
     actual = labels == 1
     return ConfusionCounts(
         tp=int((predicted & actual).sum()),
@@ -320,15 +320,15 @@ def interpolate_tpr(curve, grid):
     return np.interp(grid, curve.fpr[last], curve.tpr[last])
 
 
-def aggregate_runs(curves, aucs, grid_points=101, bin_width=0.02):
-    """Mean/std ROC on a fixed FPR grid plus an AUC histogram."""
+def aggregate_runs(curves, aucs):
+    """Mean/std TPR at 101 evenly spaced FPRs from 0 to 1, plus a histogram
+    of the AUCs in 50 bins of width 0.02 over [0, 1]."""
     if len(curves) < 2:
         raise EvaluationError("need at least two runs to aggregate")
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, 101)
     tprs = np.vstack([interpolate_tpr(c, grid) for c in curves])
     aucs = np.asarray(aucs, dtype=np.float64)
-    n_bins = int(round(1.0 / bin_width))
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, 51)
     counts, _ = np.histogram(aucs, bins=edges)
     return RunAggregate(
         fpr_grid=grid,

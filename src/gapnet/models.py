@@ -26,7 +26,6 @@ from .numerics import (
     adam_step,
     dense_layer,
     dropout_mask,
-    glorot_init,
     pin_blas_threads,
 )
 
@@ -118,12 +117,11 @@ def _pack(named_layers):
     return flat
 
 
-def _training_set(X, y, message, check=lambda X: None):
+def _training_set(X, y, message):
     """X as one C-ordered float64 copy at most (a GEMM's bits depend on its
-    operands' layout) and y as float64. `check(X)` runs first; then an X of
-    no rows raises TrainingError(message)."""
+    operands' layout) and y as float64. An X of no rows raises
+    TrainingError(message)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    check(X)
     if X.shape[0] == 0:
         raise TrainingError(message)
     return X, np.asarray(y, dtype=np.float64)
@@ -296,7 +294,7 @@ def fuse(subnets, clusters, rng, freeze_bodies=True):
         for net in subnets
     ]
     width = sum(b.output_width for b in bodies)
-    fusion = DenseLayer(glorot_init(width, 1, rng), np.zeros(1), "sigmoid")
+    fusion = dense_layer(width, 1, "sigmoid", rng)
     return GapNetModel(bodies, list(clusters), fusion, freeze_bodies=freeze_bodies)
 
 
@@ -331,7 +329,8 @@ def fit_gapnet(model, X, y, cfg, rng):
     Minibatches get no cache: the cached rows of a batch can differ by an
     ulp from a GEMM over those rows.
     """
-    X, y = _training_set(X, y, "empty stage-II training set", model.check_block)
+    model.check_block(np.asarray(X, dtype=np.float64))
+    X, y = _training_set(X, y, "empty stage-II training set")
     named = [("fusion", model.fusion)]
     if not model.freeze_bodies:
         named += [

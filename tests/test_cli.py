@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -338,6 +339,30 @@ def test_one_class_test_rows_fail_before_the_run_trains(
     # a finished run 0 trains a baseline and one sub-network per cluster
     assert len(calls) == fits
     assert not list(tmp_path.rglob("*.model.json"))
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", []), ("benchmark", ["--runs", 2]),
+], ids=["train", "benchmark"])
+def test_unwritable_out_fails_before_the_run_trains(
+    tiny_csv, tmp_path, capsys, monkeypatch, command, flags
+):
+    from gapnet import models
+
+    calls, fit_network = [], models.fit_network
+
+    def counted(*args):
+        calls.append(1)
+        return fit_network(*args)
+
+    monkeypatch.setattr(models, "fit_network", counted)
+    (tmp_path / "notadir").write_text("a file, not a directory\n")
+    out_dir = tmp_path / "notadir" / "sub"
+    code, _, err = run(capsys, command, tiny_csv, "--epochs", 2, *flags, "--out", out_dir)
+    assert code == 3
+    message = json.loads(err.splitlines()[-1])["message"]
+    assert message == f"[Errno {errno.ENOTDIR}] Not a directory: '{out_dir}'"
+    assert not calls
 
 
 def test_train_writes_no_model_unless_every_model_trained(

@@ -288,6 +288,50 @@ def test_split_rejects_bad_fraction_and_tiny_data():
         split(ds, 0.2, np.random.default_rng(0))
 
 
+def _reference_test_rows(ds, test_fraction, rng, stratified):
+    """The sorted test rows of a split, drawn case by case: one `rng.choice`
+    per class, in class order, with largest-remainder counts, or one over
+    all complete rows. None where split must refuse."""
+    complete = ds.complete_rows()
+    n_test = int(test_fraction * complete.size)
+    if n_test < 1:
+        return None
+    if not stratified:
+        return np.sort(rng.choice(complete, size=n_test, replace=False))
+    class_rows = [complete[ds.labels[complete] == c] for c in (0, 1)]
+    if min(rows.size for rows in class_rows) == 0:
+        return None
+    quotas = [n_test * rows.size / complete.size for rows in class_rows]
+    counts = [int(q) for q in quotas]
+    for c in sorted((0, 1), key=lambda c: (counts[c] - quotas[c], c))[: n_test - sum(counts)]:
+        counts[c] += 1
+    return np.sort(np.concatenate([
+        rng.choice(rows, size=count, replace=False) for rows, count in zip(class_rows, counts)
+    ]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), stratified=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_split_draws_the_reference_rows(data, stratified, seed):
+    n = data.draw(st.integers(1, 60))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    present = np.ones((n, 2), dtype=bool)
+    present[data.draw(st.lists(st.integers(0, n - 1), max_size=n)), 0] = False
+    fraction = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    ds = make_dataset(np.zeros((n, 2)), present=present, labels=labels)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _reference_test_rows(ds, fraction, reference, stratified)
+    if expected is None:
+        with pytest.raises(DatasetError):
+            split(ds, fraction, rng, stratified=stratified)
+    else:
+        s = split(ds, fraction, rng, stratified=stratified)
+        assert np.array_equal(s.test_rows, expected)
+        assert np.array_equal(s.train_rows, np.setdiff1d(np.arange(n), expected))
+    # the generator stands where the reference's does
+    assert rng.integers(2**63) == reference.integers(2**63)
+
+
 def test_normalize_constant_feature_maps_to_zero():
     ds = make_dataset([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]], labels=[0, 1, 0])
     stats = compute_stats(ds, np.arange(3))

@@ -40,6 +40,9 @@ COMMANDS = [
     # the full-batch stage II over unfrozen bodies, which caches no body output
     (["train", "madelon.csv", "--epochs", "30", "--seed", "2", "--unfreeze-bodies",
       "--out", "train-unfrozen"], True),
+    # the unstratified split draw, with no other flag changed
+    (["train", "madelon.csv", "--epochs", "30", "--seed", "4", "--no-stratify",
+      "--out", "train-unstratified"], True),
     (["importance", "train/vanilla.model.json", "madelon.csv", "--repeats", "2",
       "--out", "train/vanilla.importance.json"], True),
     (["importance", "train/gapnet.model.json", "madelon.csv", "--repeats", "2",
