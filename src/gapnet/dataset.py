@@ -119,19 +119,22 @@ def load_csv(path, missing_token="NA", label_column="label"):
     of the same bytes with the same arguments skips the parse. Every check
     after the parse runs on every read. The dataset's sha256 is that of the
     bytes read, or None when the file changed during the read or could not
-    be hashed.
+    be hashed. A line the csv module rejects (one holding a field longer
+    than `csv.field_size_limit()`, say) raises DatasetError naming it.
     """
     # utf-8-sig drops the byte-order mark a spreadsheet may write first
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        label_pos, feature_names = _header_fields(path, header, label_column)
-        cells, digest = _cached_parse(
-            path, [missing_token, label_column], len(header),
-            lambda: _parse_rows(reader, path, header, label_pos, missing_token))
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            label_pos, feature_names = _header_fields(path, header, label_column)
+            cells, digest = _cached_parse(
+                path, [missing_token, label_column], len(header),
+                lambda: _parse_rows(reader, path, header, label_pos, missing_token))
+        except csv.Error as exc:
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
     missing = np.delete(cells.view(np.uint64) == _MISSING_BITS, label_pos, axis=1)
     values = np.delete(cells, label_pos, axis=1)
     values[missing] = np.nan
@@ -372,12 +375,9 @@ def split(ds, test_fraction, rng, stratified=True):
     order = sorted(range(len(groups)), key=lambda g: (counts[g] - quotas[g], g))
     for g in order[: n_test - sum(counts)]:
         counts[g] += 1
-    test_parts = []
-    for rows, count in zip(groups, counts):
-        if count > rows.size:
-            raise DatasetError("not enough complete rows in one class")
-        test_parts.append(rng.choice(rows, size=count, replace=False))
-    test_rows = np.sort(np.concatenate(test_parts))
+    test_rows = np.sort(np.concatenate([
+        rng.choice(rows, size=count, replace=False) for rows, count in zip(groups, counts)
+    ]))
     in_test = np.zeros(ds.n_samples, dtype=bool)
     in_test[test_rows] = True
     train_rows = np.flatnonzero(~in_test)

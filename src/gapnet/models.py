@@ -135,7 +135,7 @@ def _fit(named, X, y, cfg, rng, gradients):
     gradients as a FlatBuffer laid out like the packed parameters: `out`,
     which it fills, or one of its own."""
     params = _pack(named)
-    out = FlatBuffer([v.shape for v in params.views], params.names)
+    out = FlatBuffer([v.shape for v in params.views])
     state = AdamState(learning_rate=cfg.learning_rate)
     pin_blas_threads()
     n = len(X)
@@ -184,8 +184,7 @@ def fit_network(net, X, y, cfg, rng):
                 np.copyto(total.data, workspace.grads.data)
         return total if m > tile else workspace.grads
 
-    _fit([(f"layer {i}", l) for i, l in enumerate(net.layers) if l.trainable],
-         X, y, cfg, rng, gradients)
+    _fit([(f"layer {i}", l) for i, l in enumerate(net.layers)], X, y, cfg, rng, gradients)
     return net
 
 
@@ -197,8 +196,9 @@ def _check_disjoint(clusters):
 
 
 class GapNetModel:
-    """Fused model: frozen (or fine-tunable) sub-network bodies plus one
-    trainable sigmoid output node over their concatenated hidden outputs.
+    """Fused model: sub-network bodies, which stage II trains only when
+    `freeze_bodies` is false, plus one trainable sigmoid output node over
+    their concatenated hidden outputs.
     Its input is the block of the `feature_indices` columns, in that order;
     `columns[k]` indexes body k's columns of it. `head` is the one-layer
     network of the `fusion` layer, which it shares. No feature may be in
@@ -226,9 +226,6 @@ class GapNetModel:
         self.fusion = fusion
         self.head = MlpNetwork([fusion])
         self.freeze_bodies = freeze_bodies
-        for body in self.bodies:
-            for layer in body.layers:
-                layer.trainable = not freeze_bodies
 
     @property
     def feature_indices(self):
@@ -450,12 +447,12 @@ def predict_subnet(net, cluster, ds, rows):
 
 # --- serialization -----------------------------------------------------------
 
-def _layer_to_json(layer):
+def _layer_to_json(layer, trainable=True):
     return {
         "weights": layer.weights.tolist(),
         "biases": layer.biases.tolist(),
         "activation": layer.activation,
-        "trainable": layer.trainable,
+        "trainable": trainable,
     }
 
 
@@ -468,20 +465,20 @@ def _typed(value, kind, what):
 
 
 def _layer_from_json(obj):
+    _typed(obj["trainable"], bool, "a layer's trainable")
     layer = DenseLayer(
         weights=np.array(obj["weights"], dtype=np.float64),
         biases=np.array(obj["biases"], dtype=np.float64),
         activation=obj["activation"],
-        trainable=_typed(obj["trainable"], bool, "a layer's trainable"),
     )
     if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
         raise ModelFileError("a layer holds a non-finite weight or bias")
     return layer
 
 
-def _net_to_json(net):
+def _net_to_json(net, trainable=True):
     return {
-        "layers": [_layer_to_json(l) for l in net.layers],
+        "layers": [_layer_to_json(l, trainable) for l in net.layers],
         "dropout": [
             {"rate": l.dropout, "placement": i}
             for i, l in enumerate(net.layers)
@@ -510,13 +507,14 @@ def save_model(model, path, feature_names=None, normalization=None):
     """Write a model (plus optional normalization stats) as JSON.
 
     Floats go through repr, which round-trips float64 exactly, so a loaded
-    model predicts bit-identically.
+    model predicts bit-identically. Each layer's "trainable" is
+    `not freeze_bodies` on a body and true everywhere else.
     """
     if isinstance(model, GapNetModel):
         obj = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "gapnet",
-            "bodies": [_net_to_json(b) for b in model.bodies],
+            "bodies": [_net_to_json(b, not model.freeze_bodies) for b in model.bodies],
             "clusters": [
                 {"name": c.name, "features": list(c.features)} for c in model.clusters
             ],
@@ -593,7 +591,9 @@ def load_model(path):
     bias, layers that do not chain, an unknown activation, a baseline
     network or fusion node that does not end in one sigmoid unit, a body
     that does not fit its cluster, a feature in two clusters, a
-    `freeze_bodies` or layer `trainable` that is not a JSON boolean, a
+    `freeze_bodies` or layer `trainable` that is not a JSON boolean (a
+    layer's `trainable` is dropped once checked: `freeze_bodies` alone
+    decides what stage II trains), a
     dropout `placement` that is not a JSON integer (true and false are
     not), is not a layer index or is named twice (an entry of rate 0 too),
     a dropout rate outside [0, 1), or a normalization whose mean and std

@@ -195,18 +195,17 @@ _ACTIVATIONS = {
 
 
 def _activation_backward(name, h, grad_h):
-    """Turn dL/dh into dL/dz in place, given the post-activation h.
+    """Turn dL/dh into dL/dz in place, given the post-activation h of a
+    relu or sigmoid layer (the two that `DenseLayer` admits).
 
     ReLU reads h > 0, which holds exactly where z > 0 does.
     """
     if name == "relu":
         np.multiply(grad_h, h > 0, out=grad_h)
-    elif name == "sigmoid":
+    else:
         slope = np.subtract(1.0, h)
         slope *= h
         grad_h *= slope
-    else:
-        raise NumericsError(f"unknown activation {name!r}")
     return grad_h
 
 
@@ -229,13 +228,14 @@ def dropout_mask(rng, rate, shape, out=None):
 
 
 class FlatBuffer:
-    """Named arrays stored back to back in one float64 vector, `data`.
+    """Arrays stored back to back in one float64 vector, `data`, with
+    optional names.
 
     `views[i]` is array i as a C-ordered view of its slice of `data`, so a
     write through either is seen by both.
     """
 
-    def __init__(self, shapes, names):
+    def __init__(self, shapes, names=()):
         sizes = [int(np.prod(s)) for s in shapes]
         self.ends = np.cumsum(sizes, dtype=np.int64)
         self.data = np.zeros(int(self.ends[-1]) if sizes else 0)
@@ -255,8 +255,9 @@ class DenseLayer:
     weights: np.ndarray  # (fan_in, fan_out)
     biases: np.ndarray  # (fan_out,)
     activation: str = "relu"
-    trainable: bool = True
     dropout: float = 0.0  # probability of dropping an output unit in training
+    # not a field, and true of every layer: perfbench/tracer.py's _backprop_meta reads it
+    trainable = True
 
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
@@ -298,9 +299,9 @@ class Workspace:
     """Preallocated C-ordered arrays for training steps of one network on
     batches of exactly `rows` rows.
 
-    `grads` holds the trainable layers' gradients in one FlatBuffer (weights
-    then biases, layer by layer), laid out like the parameters a trainer
-    packs. Arrays a step returns stay valid only until the next step. Each
+    `grads` holds every layer's gradients in one FlatBuffer (weights then
+    biases, layer by layer), laid out like the parameters a trainer packs.
+    Arrays a step returns stay valid only until the next step. Each
     activation is computed in place over its pre-activation, which backprop
     never reads; fewer arrays keep a step's working set in the CPU cache.
     """
@@ -311,15 +312,7 @@ class Workspace:
         def per_layer(keep=lambda l: True):
             return [np.empty((rows, l.fan_out)) if keep(l) else None for l in layers]
 
-        trainable = [i for i, l in enumerate(layers) if l.trainable]
-        shapes, names = [], []
-        for i in trainable:
-            shapes += [layers[i].weights.shape, layers[i].biases.shape]
-            names += [f"layer {i} weights", f"layer {i} biases"]
-        self.grads = FlatBuffer(shapes, names)
-        self.pairs = [None] * len(layers)  # per layer (weights, biases) gradient views
-        for k, i in enumerate(trainable):
-            self.pairs[i] = (self.grads.views[2 * k], self.grads.views[2 * k + 1])
+        self.grads = FlatBuffer([a.shape for l in layers for a in (l.weights, l.biases)])
         self.rows = rows
         self.ones = np.ones(rows)  # bias gradients are ones @ delta
         self.h = per_layer()  # pre-activation, overwritten in place by the activation
@@ -407,8 +400,7 @@ class MlpNetwork:
         """Gradients of mean BCE loss w.r.t. all parameters.
 
         Requires a sigmoid output head; uses the fused sigmoid+BCE delta.
-        Non-trainable layers get zero gradient slots. With a workspace the
-        trainable layers' gradients are written into `workspace.grads`.
+        With a workspace the gradients are written into `workspace.grads`.
         The mean is taken over `mean_over` rows (default: this batch's), so
         the gradients of a batch's row tiles sum to the batch's gradients.
         """
@@ -447,14 +439,11 @@ class MlpNetwork:
         ones = workspace.ones if workspace else np.ones(delta.shape[0])
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            if layer.trainable:
-                gw, gb = workspace.pairs[i] if workspace else (None, None)
-                grads[i] = (
-                    np.matmul(cache.inputs[i].T, delta, out=gw),
-                    np.matmul(ones, delta, out=gb),  # one GEMV
-                )
-            else:
-                grads[i] = (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
+            gw, gb = workspace.grads.views[2 * i : 2 * i + 2] if workspace else (None, None)
+            grads[i] = (
+                np.matmul(cache.inputs[i].T, delta, out=gw),
+                np.matmul(ones, delta, out=gb),  # one GEMV
+            )
             if i == 0:
                 break  # nothing consumes the gradient w.r.t. the input batch
             out = workspace.delta[i - 1] if workspace else None
@@ -514,11 +503,11 @@ def adam_step(params, grads, state):
 
     `params` and `grads` may instead be two FlatBuffers of one layout: they
     are then updated as one vector with one finiteness check, and an error
-    names the offending array.
+    gives the name that `params` holds for the offending array.
     """
     names = None
-    if isinstance(grads, FlatBuffer):
-        names, params, grads = grads, [params.data], [grads.data]
+    if isinstance(params, FlatBuffer):
+        names, params, grads = params, [params.data], [grads.data]
     state._ensure(params)
     state.step_count += 1
     t = state.step_count

@@ -18,6 +18,11 @@ FEW_COMPLETE = "f1,f2,label\n" + "".join(
     f"{i * 0.1},{'' if i >= 3 else i},{i % 2}\n" for i in range(12)
 )
 
+# 12 rows, the 6 complete ones all of class 0
+ONE_CLASS_COMPLETE = "f1,f2,label\n" + "".join(
+    f"{i * 0.1},{'' if i >= 6 else i},{0 if i < 6 else i % 2}\n" for i in range(12)
+)
+
 
 def one_bad_cell(cell):
     """12 complete rows; line 5 (the fourth record) holds `cell` in column f2."""
@@ -112,6 +117,14 @@ CASES = {
     "inf cell": (
         ["benchmark", "{dir}/inf.csv", "--runs", "2", "--epochs", "1", "--out", "{dir}/out"],
         2, "inf.csv:5: non-finite value inf in column 'f2'"),
+    "cell longer than the csv field limit": (
+        ["clusters", "{dir}/long.csv"], 2, "long.csv:5: field larger than field limit"),
+    "train, complete rows of one class": (
+        ["train", "{dir}/one-class.csv", "--missing-token", "", "--epochs", "1",
+         "--out", "{dir}/out"], 2, "stratified split needs both classes among complete rows"),
+    "plan cluster repeats a feature": (
+        ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan",
+         "{dir}/repeat.plan.json"], 2, "cluster 'a' repeats a feature"),
 }
 
 
@@ -121,10 +134,13 @@ def inputs(tmp_path_factory):
     (d / "few.csv").write_text(FEW_COMPLETE)
     (d / "nan.csv").write_text(one_bad_cell("nan"))
     (d / "inf.csv").write_text(one_bad_cell("inf"))
+    (d / "long.csv").write_text(one_bad_cell("1" * 200_000))
+    (d / "one-class.csv").write_text(ONE_CLASS_COMPLETE)
     (d / "two-labels.csv").write_text(
         "x1,label,label\n" + "".join(f"{i * 0.1},{i % 2},{i % 2}\n" for i in range(12)))
     (d / "number.plan.json").write_text(json.dumps({"a": 5}))
     (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
+    (d / "repeat.plan.json").write_text(json.dumps({"a": ["f1", "f1"]}))
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),
                         ("relu", gapnet_model(activation="relu")),
                         ("nan", gapnet_model(weight=float("nan"))),

@@ -784,6 +784,10 @@ def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze, v
         assert obj["format_version"] == 1
         nets = [obj["network"]] if m is baseline else obj["bodies"]
         assert [net["dropout"] for net in nets] == [dropout] * len(nets)
+        # "trainable" is written from freeze_bodies: false only on frozen bodies
+        trains = m is baseline or not freeze
+        assert all(l["trainable"] is trains for net in nets for l in net["layers"])
+        assert m is baseline or obj["fusion"]["trainable"] is True
         if not versioned:  # as written before the field existed
             del obj["format_version"]
             path.write_text(json.dumps(obj))

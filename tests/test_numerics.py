@@ -109,10 +109,11 @@ def rel_error(analytic, numeric):
     return worst
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backprop_matches_finite_differences(seed):
+@pytest.mark.parametrize("seed, hidden", [(0, "relu"), (1, "relu"), (2, "relu"), (0, "sigmoid")],
+                         ids=["0", "1", "2", "sigmoid"])
+def test_backprop_matches_finite_differences(seed, hidden):
     rng = np.random.default_rng(seed)
-    net = make_net([5, 10, 10, 1], ["relu", "relu", "sigmoid"], seed=seed)
+    net = make_net([5, 10, 10, 1], [hidden, hidden, "sigmoid"], seed=seed)
     x = rng.standard_normal((7, 5))
     y = rng.integers(0, 2, 7).astype(float)
     cache = net.forward(x, mode="train")
@@ -253,6 +254,12 @@ def test_dropout_mask_takes_one_raw_word_per_four_units(extra):
 def test_dropout_rate_must_be_below_one():
     with pytest.raises(NumericsError, match="dropout rate"):
         DenseLayer(np.eye(2), np.zeros(2), dropout=1.0)
+
+
+def test_a_layer_takes_no_trainable_setting():
+    # what trains is the trainer's choice (GapNetModel.freeze_bodies), not the layer's
+    with pytest.raises(TypeError, match="trainable"):
+        DenseLayer(np.eye(2), np.zeros(2), trainable=False)
 
 
 def test_gradient_descent_decreases_loss_on_separable_toy():
