@@ -342,12 +342,26 @@ def aggregate_runs(curves, aucs):
     )
 
 
+def _sorted_quantile(s, q):
+    """numpy's default `linear` percentile of sorted `s`, with its `_lerp`
+    arithmetic, so the bits match `np.percentile`."""
+    index = (s.size - 1) * q
+    lo = math.floor(index)
+    t = index - lo
+    a, b = s[lo], s[min(lo + 1, s.size - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def five_number_summary(values):
+    """Boxplot of `values`, bit for bit what `np.percentile` and `np.median`
+    give, from one sort: `np.median` would import numpy.ma."""
     values = np.asarray(values, dtype=np.float64)
-    return {
-        "min": float(values.min()),
-        "q1": float(np.percentile(values, 25)),
-        "median": float(np.median(values)),
-        "q3": float(np.percentile(values, 75)),
-        "max": float(values.max()),
-    }
+    low, high = float(values.min()), float(values.max())
+    s = np.sort(values, axis=None)
+    h = s.size // 2
+    if math.isnan(s[-1]):  # NaN sorts last; numpy returns it for all three
+        q1 = median = q3 = s[-1]
+    else:
+        q1, q3 = _sorted_quantile(s, 0.25), _sorted_quantile(s, 0.75)
+        median = s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2
+    return {"min": low, "q1": float(q1), "median": float(median), "q3": float(q3), "max": high}

@@ -517,6 +517,16 @@ def test_benchmark_jobs_imports_no_process_pool(tiny_csv, tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_benchmark_imports_no_numpy_ma(tiny_csv, tmp_path):
+    # np.median imports numpy.ma, which set the benchmark's peak memory
+    argv = ["benchmark", str(tiny_csv), "--missing-token", "", "--runs", "2", "--epochs", "1",
+            "--jobs", "1", "--out", str(tmp_path / "b")]
+    done = python(["-c", "import sys; from gapnet.cli import main; "
+                   f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("model", [[1], {"kind": "gapnet"}, {"kind": "forest"}])
 def test_importance_rejects_invalid_model_file(tiny_csv, tmp_path, capsys, model):
     path = tmp_path / "bad.model.json"

@@ -24,6 +24,10 @@ ONE_CLASS_COMPLETE = "f1,f2,label\n" + "".join(
 )
 
 
+# 12 rows in which column f1 is never present
+NO_F1 = "f1,f2,label\n" + "".join(f",{i},{i % 2}\n" for i in range(12))
+
+
 def one_bad_cell(cell):
     """12 complete rows; line 5 (the fourth record) holds `cell` in column f2."""
     return "f1,f2,label\n" + "".join(
@@ -125,6 +129,24 @@ CASES = {
     "plan cluster repeats a feature": (
         ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan",
          "{dir}/repeat.plan.json"], 2, "cluster 'a' repeats a feature"),
+    "importance of no repeats": (
+        ["importance", "{dir}/ok.model.json", "{dir}/few.csv", "--missing-token", "",
+         "--repeats", "0"], 2, "repeats must be >= 1"),
+    "synth of no clusters per class": (
+        ["synth", "--clusters-per-class", "0", "--out", "{dir}/s.csv"],
+        2, "clusters_per_class must be >= 1"),
+    "train, plan clusters share a feature": (
+        ["train", "{dir}/few.csv", "--missing-token", "", "--plan", "{dir}/overlap.plan.json",
+         "--epochs", "1", "--out", "{dir}/out"], 2, "plan validation failed"),
+    "clusters, plan clusters share a feature": (
+        ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan",
+         "{dir}/overlap.plan.json"], 2, "supplied plan is invalid for this dataset"),
+    "model feature names differ from the header": (
+        ["importance", "{dir}/renamed.model.json", "{dir}/few.csv", "--missing-token", ""],
+        2, "model feature names do not match the dataset header"),
+    "no row complete for the model's features": (
+        ["importance", "{dir}/ok.model.json", "{dir}/no-f1.csv", "--missing-token", ""],
+        2, "no rows are complete for the model's features"),
 }
 
 
@@ -136,17 +158,20 @@ def inputs(tmp_path_factory):
     (d / "inf.csv").write_text(one_bad_cell("inf"))
     (d / "long.csv").write_text(one_bad_cell("1" * 200_000))
     (d / "one-class.csv").write_text(ONE_CLASS_COMPLETE)
+    (d / "no-f1.csv").write_text(NO_F1)
     (d / "two-labels.csv").write_text(
         "x1,label,label\n" + "".join(f"{i * 0.1},{i % 2},{i % 2}\n" for i in range(12)))
     (d / "number.plan.json").write_text(json.dumps({"a": 5}))
     (d / "nested.plan.json").write_text(json.dumps({"a": [["f1"]]}))
     (d / "repeat.plan.json").write_text(json.dumps({"a": ["f1", "f1"]}))
+    (d / "overlap.plan.json").write_text(json.dumps({"a": ["f1", "f2"], "b": ["f2"]}))
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),
                         ("relu", gapnet_model(activation="relu")),
                         ("nan", gapnet_model(weight=float("nan"))),
                         ("narrow", baseline_model(1)),
                         ("wide-baseline", baseline_model(2, units=2)),
-                        ("narrow-stats", baseline_model(2, normalization_width=1))):
+                        ("narrow-stats", baseline_model(2, normalization_width=1)),
+                        ("renamed", {**baseline_model(2), "feature_names": ["g1", "g2"]})):
         (d / f"{name}.model.json").write_text(json.dumps(model))
     return d
 

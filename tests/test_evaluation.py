@@ -389,3 +389,33 @@ def test_aggregate_needs_two_runs():
 def test_five_number_summary():
     summary = five_number_summary([1.0, 2.0, 3.0, 4.0, 5.0])
     assert summary == {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0}
+
+
+def numpy_summary(values):
+    values = np.asarray(values, dtype=np.float64)
+    return [values.min(), np.percentile(values, 25), np.median(values),
+            np.percentile(values, 75), values.max()]
+
+
+SUMMARY_VALUES = st.one_of(*(
+    st.lists(element.map(lambda x: x + 0.0), min_size=1, max_size=201)  # no -0.0
+    for element in (st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),  # ties
+                    st.floats(0.0, 1.0),
+                    st.floats(-1e300, 1e300))
+))
+
+
+@given(SUMMARY_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_five_number_summary_is_numpys(values):
+    summary = five_number_summary(values)
+    assert list(summary) == ["min", "q1", "median", "q3", "max"]
+    got = np.array(list(summary.values()), dtype=np.float64)
+    assert got.tobytes() == np.array(numpy_summary(values), dtype=np.float64).tobytes()
+
+
+def test_five_number_summary_of_a_nan_is_nan():
+    values = [0.3, 0.1, np.nan, 0.2, 0.4]
+    summary = five_number_summary(values)
+    assert all(math.isnan(x) for x in summary.values())
+    assert all(np.isnan(numpy_summary(values)))
