@@ -80,11 +80,15 @@ def _load_dataset(args):
     )
     bad = ds.present & ~np.isfinite(ds.values)
     if bad.any():
-        # the cached cells keep no line map: this numbers records from line 2,
-        # which is the record's line unless a quoted field before it spans lines
         row, col = np.argwhere(bad)[0]
+        # the cached cells keep no line map: read the file again up to the
+        # record (the header is record 0), as load_csv reads it
+        with open(args.dataset, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for _ in range(row + 2):
+                next(reader, None)
         raise DatasetError(
-            f"{args.dataset}:{row + 2}: non-finite value {float(ds.values[row, col])!r} "
+            f"{args.dataset}:{reader.line_num}: non-finite value {float(ds.values[row, col])!r} "
             f"in column {ds.feature_names[col]!r}"
         )
     return ds

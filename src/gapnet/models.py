@@ -84,8 +84,6 @@ class TrainConfig:
 def build_vanilla(n_features, hidden_multiplier=2, dropout_rate=0.5, rng=None):
     """MLP with two hidden layers of hidden_multiplier * n_features ReLU units,
     dropout after the second hidden layer, and a single sigmoid output."""
-    if n_features < 1:
-        raise TrainingError("need at least one feature")
     rng = rng if rng is not None else np.random.default_rng(0)
     width = hidden_multiplier * n_features
     layers = [
@@ -253,28 +251,25 @@ class GapNetModel:
         """A function `score(j, values)`: the scores of block X with its
         column j replaced by `values`, as `predict` gives them.
 
-        Only the body whose cluster holds column j runs again, on the same
-        F-ordered column copy `forward` gives it. The head reads one C-ordered
-        concat of the bodies' outputs on X, built once here: each score writes
-        body k's new output into body k's columns, then restores them.
+        Only the body whose cluster holds column j runs again, on the
+        F-ordered column copy that one `forward` over X gave it. The head
+        reads that pass's C-ordered concat of the bodies' outputs: each score
+        writes body k's new output into body k's columns, then restores them.
         """
         X = np.asarray(X, dtype=np.float64)
-        self.check_block(X)
-        blocks = [X[:, cols] for cols in self.columns]
-        hidden = [body.forward(b).outputs for body, b in zip(self.bodies, blocks)]
-        owner = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
-        concat = np.hstack(hidden)
-        edges = np.cumsum([0] + [h.shape[1] for h in hidden])
+        caches, concat, _ = self.forward(X)
+        owner = np.repeat(np.arange(len(caches)), [len(cols) for cols in self.columns])
+        edges = np.cumsum([0] + [cache.outputs.shape[1] for cache in caches])
 
         def score(j, values):
             k = owner[j]
-            block, local = blocks[k], j - self.columns[k][0]
+            block, local = caches[k].inputs[0], j - self.columns[k][0]
             out = slice(edges[k], edges[k + 1])
             block[:, local] = values
             concat[:, out] = self.bodies[k].forward(block).outputs
             block[:, local] = X[:, j]
             scores = self.head.forward(concat).outputs.reshape(-1)
-            concat[:, out] = hidden[k]
+            concat[:, out] = caches[k].outputs
             return scores
 
         return score
@@ -282,9 +277,8 @@ class GapNetModel:
 
 def fuse(subnets, clusters, rng, freeze_bodies=True):
     """Drop each sub-network's output head and add a fresh fused output node.
-    Clusters that share a feature raise NumericsError, as in GapNetModel."""
-    if len(subnets) != len(clusters):
-        raise TrainingError("need exactly one sub-network per cluster")
+    Clusters that share a feature, or a count of sub-networks other than
+    one per cluster, raise NumericsError, as in GapNetModel."""
     bodies = [
         MlpNetwork([replace(l, weights=l.weights.copy(), biases=l.biases.copy())
                     for l in net.layers[:-1]])
@@ -327,7 +321,7 @@ def fit_gapnet(model, X, y, cfg, rng):
     ulp from a GEMM over those rows.
     """
     model.check_block(np.asarray(X, dtype=np.float64))
-    X, y = _training_set(X, y, "empty stage-II training set")
+    X, y = _training_set(X, y, "no complete training rows for stage II")
     named = [("fusion", model.fusion)]
     if not model.freeze_bodies:
         named += [
@@ -405,8 +399,6 @@ def train_stage1(ds, plan, split, cfg):
 def train_stage2(model, ds, split, cfg):
     """Train the fused model on the fully complete rows minus test rows."""
     rows = _train_rows_for(ds, split, model.feature_indices)
-    if rows.size == 0:
-        raise TrainingError("no complete training rows for stage II")
     X = ds.dense_block(rows, model.feature_indices)
     return fit_gapnet(model, X, ds.labels[rows], cfg, _stream(cfg, 999))
 

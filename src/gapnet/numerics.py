@@ -356,10 +356,6 @@ class MlpNetwork:
     def output_width(self):
         return self.layers[-1].fan_out
 
-    def parameters(self):
-        """Flat list of (weights, biases) pairs in layer order."""
-        return [(layer.weights, layer.biases) for layer in self.layers]
-
     def forward(self, batch, mode="infer", rng=None, workspace=None):
         """Run the network; in train mode draws and records dropout masks.
 
@@ -399,7 +395,8 @@ class MlpNetwork:
     def backprop(self, cache, labels, workspace=None, mean_over=None):
         """Gradients of mean BCE loss w.r.t. all parameters.
 
-        Requires a sigmoid output head; uses the fused sigmoid+BCE delta.
+        Requires a sigmoid output head without dropout (BCE of a probability
+        scaled by 1/keep is not defined); uses the fused sigmoid+BCE delta.
         With a workspace the gradients are written into `workspace.grads`.
         The mean is taken over `mean_over` rows (default: this batch's), so
         the gradients of a batch's row tiles sum to the batch's gradients.
@@ -408,17 +405,13 @@ class MlpNetwork:
         scores = cache.outputs
         if scores.shape[0] != labels.shape[0]:
             raise NumericsError("label count does not match batch size")
-        if self.layers[-1].activation != "sigmoid":
-            raise NumericsError("backprop against labels requires a sigmoid head")
+        if (self.layers[-1].activation, self.layers[-1].dropout) != ("sigmoid", 0.0):
+            raise NumericsError("backprop against labels requires a sigmoid head without dropout")
         n = scores.shape[0]
         if workspace is not None:
             workspace.check(n)
-        last = len(self.layers) - 1
-        delta = np.subtract(scores, labels, out=workspace.delta[last] if workspace else None)
+        delta = np.subtract(scores, labels, out=workspace.delta[-1] if workspace else None)
         delta /= n if mean_over is None else mean_over  # dL/dz of the output layer
-        if last in cache.dropout_masks:
-            # mask sits after the sigmoid; fold it into the fused delta
-            delta *= cache.dropout_masks[last]
         return self._backward(cache, delta, workspace)
 
     def backprop_from(self, cache, upstream):
@@ -554,9 +547,9 @@ def finite_diff_grad(network, batch, labels, epsilon=1e-6):
         return bce_loss(network.forward(batch, mode="infer").outputs, labels)
 
     grads = []
-    for weights, biases in network.parameters():
+    for layer in network.layers:
         pair = []
-        for arr in (weights, biases):
+        for arr in (layer.weights, layer.biases):
             g = np.zeros_like(arr)
             flat = arr.reshape(-1)
             gflat = g.reshape(-1)

@@ -121,6 +121,12 @@ CASES = {
     "inf cell": (
         ["benchmark", "{dir}/inf.csv", "--runs", "2", "--epochs", "1", "--out", "{dir}/out"],
         2, "inf.csv:5: non-finite value inf in column 'f2'"),
+    "inf cell after a quoted field that spans lines": (
+        ["clusters", "{dir}/multiline.csv"],
+        2, "multiline.csv:5: non-finite value inf in column 'b'"),
+    "a label column and no feature": (
+        ["clusters", "{dir}/label-only.csv"],
+        2, "dataset needs at least one row and one feature"),
     "cell longer than the csv field limit": (
         ["clusters", "{dir}/long.csv"], 2, "long.csv:5: field larger than field limit"),
     "train, complete rows of one class": (
@@ -157,6 +163,9 @@ def inputs(tmp_path_factory):
     (d / "nan.csv").write_text(one_bad_cell("nan"))
     (d / "inf.csv").write_text(one_bad_cell("inf"))
     (d / "long.csv").write_text(one_bad_cell("1" * 200_000))
+    # record 1's first field spans lines 2-3, so the inf sits on line 5
+    (d / "multiline.csv").write_text('a,b,label\n"1\n",2,0\n3,4,1\n5,inf,0\n6,7,1\n')
+    (d / "label-only.csv").write_text("label\n0\n1\n")
     (d / "one-class.csv").write_text(ONE_CLASS_COMPLETE)
     (d / "no-f1.csv").write_text(NO_F1)
     (d / "two-labels.csv").write_text(

@@ -106,6 +106,12 @@ def test_merge_min_support_too_large():
         merge_clusters(plan, ds, min_support=3)
 
 
+def test_merge_min_support_below_one():
+    ds = make_dataset(np.ones((4, 2)), present=[[1, 0], [1, 0], [0, 1], [0, 1]])
+    with pytest.raises(ClusteringError, match="min_support must be >= 1"):
+        merge_clusters(signature_clusters(ds), ds, min_support=0)
+
+
 def test_merge_checks_support_of_a_loaded_plan(tmp_path, paper_madelon):
     # a plan file carries no complete-row counts; the check counts them itself
     path = tmp_path / "plan.json"

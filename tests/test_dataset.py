@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gapnet import dataset, numerics
 from gapnet.dataset import (
     DatasetError,
+    GappedDataset,
     compute_stats,
     load_csv,
     normalize,
@@ -197,6 +198,8 @@ def test_save_csv_rejects_a_token_that_strip_would_change(tmp_path, token):
 
 
 def test_load_csv_errors(tmp_path):
+    with pytest.raises(DatasetError, match="empty file"):
+        load_csv(write(tmp_path, "", "empty.csv"))
     with pytest.raises(DatasetError, match="label"):
         load_csv(write(tmp_path, "a,b\n1,2\n", "nolabel.csv"))
     with pytest.raises(DatasetError, match="duplicate"):
@@ -232,6 +235,25 @@ def test_complete_rows_for_clusters(paper_madelon):
 
 def test_complete_rows_for_empty_cluster(paper_madelon):
     assert paper_madelon.complete_rows_for([]).size == 1000
+
+
+@pytest.mark.parametrize("features", [[2], [-1]])
+def test_complete_rows_for_a_feature_out_of_range(features):
+    with pytest.raises(DatasetError, match="feature index out of range"):
+        make_dataset(np.ones((3, 2))).complete_rows_for(features)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"feature_names": ["a"]}, "feature name count does not match columns"),
+    ({"present": np.ones((3, 1), dtype=bool)}, "mask shape does not match values"),
+    ({"labels": np.array([0, 1])}, "label count does not match rows"),
+    ({"labels": np.array([0, 1, 2])}, "labels must be 0 or 1"),
+])
+def test_a_dataset_whose_parts_disagree_is_refused(change, message):
+    parts = {"feature_names": ["a", "b"], "values": np.zeros((3, 2)),
+             "present": np.ones((3, 2), dtype=bool), "labels": np.array([0, 1, 0])}
+    with pytest.raises(DatasetError, match=message):
+        GappedDataset(**{**parts, **change})
 
 
 def test_dense_block_refuses_missing_cells(paper_madelon):
@@ -692,6 +714,16 @@ def test_an_unusable_cache_dir_still_reads_the_file(tmp_path, monkeypatch, capsy
     for _ in range(2):
         assert_same_dataset(load_csv(path), *reference_load_csv(path.read_text(), "NA"))
     assert capsys.readouterr() == ("", "")
+
+
+def test_a_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch, parsed_cell_cache):
+    def full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", full_disk)
+    path = write(tmp_path, many_rows())
+    assert_same_dataset(load_csv(path), *reference_load_csv(path.read_text(), "NA"))
+    assert os.listdir(parsed_cell_cache) == []
 
 
 def test_a_file_that_fails_to_parse_stores_nothing(tmp_path, parsed_cell_cache):

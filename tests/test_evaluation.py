@@ -178,6 +178,11 @@ def test_confusion_threshold_is_inclusive():
     assert counts.tp == 1
 
 
+def test_confusion_of_no_rows_is_refused():
+    with pytest.raises(EvaluationError, match="empty input"):
+        confusion_at([], [])
+
+
 def test_delong_identical_scores():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 2, 20)
@@ -196,6 +201,15 @@ def test_delong_auc_consistency():
     result = delong_test(a, b, labels)
     assert result.auc_a == pytest.approx(auc(a, labels), abs=1e-12)
     assert result.auc_b == pytest.approx(auc(b, labels), abs=1e-12)
+
+
+@pytest.mark.parametrize("short", ["a", "b"])
+def test_delong_needs_one_score_per_label(short):
+    labels = np.array([0, 1, 0, 1])
+    scores = {"a": np.linspace(0, 1, 4), "b": np.linspace(1, 0, 4)}
+    scores[short] = scores[short][:3]
+    with pytest.raises(EvaluationError, match="score vectors must match the label vector"):
+        delong_test(scores["a"], scores["b"], labels)
 
 
 def brute_force_components(scores, labels):

@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,11 @@ def test_vanilla_activations_and_dropout():
     net = build_vanilla(10, dropout_rate=0.5)
     assert [l.activation for l in net.layers] == ["relu", "relu", "sigmoid"]
     assert [l.dropout for l in net.layers] == [0.0, 0.5, 0.0]
+
+
+def test_a_network_of_no_features_is_refused():
+    with pytest.raises(NumericsError, match="fan_in and fan_out must be >= 1"):
+        build_vanilla(0)
 
 
 def fast_cfg(**kw):
@@ -133,6 +139,23 @@ def test_fuse_rejects_clusters_that_share_a_feature():
     clusters = [FeatureCluster("a", [0, 1]), FeatureCluster("b", [1, 2])]
     with pytest.raises(NumericsError, match="a feature appears in two clusters"):
         fuse([build_subnet(c, rng=rng) for c in clusters], clusters, rng)
+
+
+def test_fuse_needs_one_subnet_per_cluster():
+    rng = np.random.default_rng(0)
+    clusters = [FeatureCluster("a", [0, 1]), FeatureCluster("b", [2, 3])]
+    with pytest.raises(NumericsError, match="do not match the cluster sizes"):
+        fuse([build_subnet(clusters[0], rng=rng)], clusters, rng)
+
+
+def test_a_gapnet_block_must_have_its_width():
+    rng = np.random.default_rng(0)
+    clusters = [FeatureCluster("a", [0, 1]), FeatureCluster("b", [2, 3, 4])]
+    model = fuse([build_subnet(c, rng=rng) for c in clusters], clusters, rng)
+    X = rng.standard_normal((3, 6))  # one column too many
+    for call in (model.predict, model.column_scorer):
+        with pytest.raises(NumericsError, match=r"input \(3, 6\) is not 5 feature columns"):
+            call(X)
 
 
 def test_freezing_keeps_bodies_bit_identical(paper_madelon):
@@ -259,6 +282,26 @@ def test_vanilla_errors_without_complete_rows():
 
     with pytest.raises(TrainingError):
         train_vanilla(ds, FakeSplit(), fast_cfg())
+
+
+def test_train_gapnet_without_complete_training_rows_fails_in_stage2():
+    # each cluster keeps training rows, but every complete row is a test row
+    present = np.ones((40, 4), dtype=bool)
+    present[:20, :2] = present[20:30, 2:] = False
+    ds = make_dataset(np.ones((40, 4)), present=present)
+    s = DataSplit(train_rows=np.arange(30), test_rows=np.arange(30, 40))
+    with pytest.raises(TrainingError, match="^no complete training rows for stage II$"):
+        train_gapnet(ds, signature_clusters(ds), s, fast_cfg())
+
+
+def test_fit_network_refuses_an_output_with_dropout():
+    # a kept unit is scaled by 1/keep, so the output is no probability and
+    # its cross-entropy has no gradient to fuse with the sigmoid's
+    net = build_vanilla(3)
+    net.layers[-1] = replace(net.layers[-1], dropout=0.2)
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    with pytest.raises(NumericsError, match="sigmoid head without dropout"):
+        fit_network(net, X, np.arange(6) % 2, fast_cfg(), np.random.default_rng(0))
 
 
 def test_serialization_round_trip(tmp_path, paper_madelon):

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,8 @@ def test_bce_rejects_empty_and_nan():
         bce_loss([], [])
     with pytest.raises(NumericsError):
         bce_loss([np.nan], [1])
+    with pytest.raises(NumericsError, match="scores and labels differ in length"):
+        bce_loss([0.5, 0.5], [1])
 
 
 def test_logistic_regression_gradient_closed_form():
@@ -98,6 +101,20 @@ def test_labels_equal_scores_give_zero_gradients():
     grads = net.backprop(cache, cache.outputs.reshape(-1))
     for gw, gb in grads:
         assert np.all(gw == 0) and np.all(gb == 0)
+
+
+def test_backprop_needs_one_label_per_row():
+    net = make_net([3, 1], ["sigmoid"])
+    cache = net.forward(np.zeros((4, 3)), mode="train")
+    with pytest.raises(NumericsError, match="label count does not match batch size"):
+        net.backprop(cache, np.ones(3))
+
+
+def test_train_mode_with_dropout_needs_an_rng():
+    net = make_net([3, 4, 1], ["relu", "sigmoid"])
+    net.layers[0] = replace(net.layers[0], dropout=0.5)
+    with pytest.raises(NumericsError, match="train mode with dropout requires an rng"):
+        net.forward(np.zeros((2, 3)), mode="train")
 
 
 def rel_error(analytic, numeric):
@@ -162,6 +179,13 @@ def test_adam_rejects_non_finite_gradient():
     state = AdamState()
     with pytest.raises(NumericsError, match="parameter 1"):
         adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2), np.array([np.inf, 0.0])], state)
+
+
+def test_adam_state_keeps_its_parameter_count():
+    state = AdamState()
+    adam_step([np.zeros(2)], [np.zeros(2)], state)
+    with pytest.raises(NumericsError, match="Adam state does not match parameter count"):
+        adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
 
 
 def test_adam_trajectories_are_bit_identical():
@@ -349,6 +373,32 @@ def test_the_children_are_killed_when_the_caller_fails(two_cpus):
     with pytest.raises(ValueError, match="caller failed"):
         forked_map(fn, range(3))
     assert len(two_cpus) == 2
+    assert_no_child_left()
+
+
+def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
+    # the first fork succeeds, the second raises: forked_map kills and reaps
+    # the first child, and _fork_call closes the pipe it made for the second
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 2)
+    fork, pipe, ends = os.fork, os.pipe, []
+
+    def recorded_pipe():
+        ends.extend(pipe())
+        return ends[-2], ends[-1]
+
+    def fork_once():
+        if len(ends) > 2:
+            raise OSError("fork failed")
+        return fork()
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(OSError, match="fork failed"):
+        forked_map(lambda x: x, range(3))
+    assert len(ends) == 4
+    for fd in ends:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     assert_no_child_left()
 
 

@@ -113,6 +113,14 @@ def test_out_of_range_block_rejected():
     ds = generate_madelon(MadelonConfig(seed=3))
     with pytest.raises(SynthError, match="out of bounds"):
         inject_gaps(ds, GapPattern(blocks=[((1, 1001), (1, 40))]))
+    with pytest.raises(SynthError, match=r"feature range \(1, 41\) out of bounds"):
+        inject_gaps(ds, GapPattern(blocks=[((1, 10), (1, 41))]))
+
+
+def test_gaps_are_injected_into_a_fully_present_dataset_only():
+    ds = inject_gaps(generate_madelon(MadelonConfig(seed=3)), paper_gap_pattern())
+    with pytest.raises(SynthError, match="expects a fully present dataset"):
+        inject_gaps(ds, GapPattern())
 
 
 def test_gap_injection_leaves_other_cells_untouched():
