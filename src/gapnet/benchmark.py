@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import dataset as ds_mod
-from .clustering import signature_clusters
+from .clustering import MODELS, signature_clusters
 from .evaluation import (
     DegenerateComparison,
     aggregate_runs,
@@ -48,12 +48,12 @@ def run_seed(cfg, run_index):
     return cfg.seed ^ run_index
 
 
-def train_run(ds, plan, cfg, run_index, models=("vanilla", "gapnet")):
-    """Run i: split, normalize, train the named models and score them on the
-    test rows. Returns the split, the normalization stats (None when off),
-    cfg with the run's seed, the trained models by name, and the test-row
-    scores of each model and sub-network by name. `gapnet train --seed s`
-    is run 0."""
+def train_run(ds, plan, cfg, run_index, models=MODELS):
+    """Run i: split, normalize, train the named models (the baseline first)
+    and score them on the test rows. Returns the split, the normalization
+    stats (None when off), cfg with the run's seed, the trained models by
+    name, and the test-row scores of each model and sub-network by name.
+    `gapnet train --seed s` is run 0."""
     seed = run_seed(cfg, run_index)
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
     split = ds_mod.split(ds, cfg.test_fraction, split_rng, stratified=cfg.stratified)
@@ -118,22 +118,23 @@ def run_benchmark(ds, plan=None, cfg=None):
 
 
 def _delong(scores, labels):
-    """delong_test of gapnet against the baseline. AUCs that differ with zero
-    variance, as when one model ranks every positive-negative pair rightly
-    and the other every pair wrongly, have no z: z and p are None (null)."""
+    """delong_test of the first model of MODELS against the second. AUCs
+    that differ with zero variance, as when one model ranks every
+    positive-negative pair rightly and the other every pair wrongly, have no
+    z: z and p are None (null)."""
     try:
-        return delong_test(scores["gapnet"], scores["vanilla"], labels)
+        return delong_test(*(scores[name] for name in MODELS), labels)
     except DegenerateComparison as exc:
         return exc.result
 
 
 def aggregate_benchmark(results, plan, cfg):
-    model_names = ["gapnet", "vanilla"] + [c.name for c in plan.clusters]
+    clusters = [c.name for c in plan.clusters]
     report = {"models": {}, "per_run": results}
     labels = [np.asarray(res["labels"]) for res in results]
     pooled_labels = np.concatenate(labels)
     pooled = {}
-    for name in model_names:
+    for name in [*MODELS, *clusters]:
         scores = [np.asarray(res["scores"][name]) for res in results]
         agg = aggregate_runs(
             [roc_curve(s, y) for s, y in zip(scores, labels)],
@@ -165,8 +166,7 @@ def aggregate_benchmark(results, plan, cfg):
     pooled_d = _delong(pooled, pooled_labels)
     report["delong"] = {
         "pooled": {
-            "auc_gapnet": pooled_d.auc_a,
-            "auc_vanilla": pooled_d.auc_b,
+            **{f"auc_{name}": a for name, a in zip(MODELS, (pooled_d.auc_a, pooled_d.auc_b))},
             "variance": pooled_d.variance,
             "z": pooled_d.z,
             "p": pooled_d.p,
@@ -175,6 +175,6 @@ def aggregate_benchmark(results, plan, cfg):
     }
     # single-cluster models listed in descending order of median AUC
     report["cluster_order"] = sorted(
-        model_names[2:], key=lambda n: -report["models"][n]["boxplot"]["median"]
+        clusters, key=lambda n: -report["models"][n]["boxplot"]["median"]
     )
     return report

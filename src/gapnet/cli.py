@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import dataset as ds_mod
 from .benchmark import BenchmarkConfig, run_benchmark, run_seed, train_run
-from .clustering import ClusteringError, load_plan, signature_clusters, validate_plan
+from .clustering import MODELS, ClusteringError, load_plan, signature_clusters, validate_plan
 from .dataset import DatasetError
 from .evaluation import auc, importance_report
 # train_run calls train_vanilla, train_gapnet, predict and predict_subnet; they
@@ -219,7 +219,7 @@ def cmd_train(args):
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
     out = _out_dir(args.out)
-    models = [m for m in ("vanilla", "gapnet") if args.model in (m, "both")]
+    models = MODELS if args.model == "both" else (args.model,)
     split, stats, _, trained, scores = train_run(ds, plan, cfg, 0, models)
     # inputs by content and no output path, as in report.json's config_hash:
     # one run gives the same report from any directory
@@ -294,7 +294,7 @@ def cmd_benchmark(args):
     summary = {
         "report": str(out / "report.json"),
         **{f"{name}_auc": "{auc_mean:.3f}±{auc_std:.3f}".format(**report["models"][name])
-           for name in ("gapnet", "vanilla")},
+           for name in MODELS},
         "delong_z": report["delong"]["pooled"]["z"],
         "delong_p": report["delong"]["pooled"]["p"],
     }
@@ -385,7 +385,7 @@ def build_parser():
     p = sub.add_parser("train", help="train models on one split")
     _add_dataset_args(p)
     _add_train_args(p)
-    p.add_argument("--model", choices=("vanilla", "gapnet", "both"), default="both")
+    p.add_argument("--model", choices=(*MODELS, "both"), default="both")
     p.add_argument("--out", help="output directory (default $GAPNET_OUT or .)")
     p.set_defaults(func=cmd_train)
 

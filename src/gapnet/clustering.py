@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the models every benchmark run reports, in report order; the DeLong test
+# compares the first with the second. A plan may not name a cluster after one.
+MODELS = ("gapnet", "vanilla")
+
+
 class ClusteringError(ValueError):
     pass
 
@@ -132,8 +137,8 @@ def validate_plan(plan, ds):
 def load_plan(path, feature_names):
     """Read a plan file: JSON object mapping cluster name -> feature name list.
 
-    A cluster name may appear once, and may not be `vanilla` or `gapnet`,
-    the names of the benchmark's two other models. A leading UTF-8
+    A cluster name may appear once, and may not be one of `MODELS`, the
+    names of the benchmark's other models. A leading UTF-8
     byte-order mark is dropped, as `load_csv` drops it.
     """
 
@@ -152,7 +157,7 @@ def load_plan(path, feature_names):
     name_to_idx = {n: i for i, n in enumerate(feature_names)}
     clusters = []
     for name, feats in raw.items():
-        if name in ("vanilla", "gapnet"):  # the benchmark's other two models
+        if name in MODELS:
             raise ClusteringError(f"{path}: cluster name {name!r} is reserved for a model")
         if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
             raise ClusteringError(f"{path}: {name!r} must map to a list of feature names")
