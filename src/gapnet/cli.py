@@ -99,8 +99,9 @@ def _resolve_plan(args, ds):
         plan = load_plan(args.plan, ds.feature_names)
         report = validate_plan(plan, ds)
         if not report.valid:
+            overlaps = [(ds.feature_names[j], names) for j, names in report.overlaps]
             raise ClusteringError(
-                f"plan validation failed: overlaps={report.overlaps} "
+                f"plan validation failed: overlaps={overlaps} "
                 f"empty_support={report.empty_support}"
             )
         return plan

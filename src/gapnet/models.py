@@ -234,7 +234,9 @@ class GapNetModel:
             raise NumericsError(f"input {X.shape} is not {self.input_width} feature columns")
 
     def forward(self, X, mode="infer", rng=None):
-        """X is the feature block; each body takes its cluster's columns."""
+        """X is the feature block; each body takes its cluster's columns.
+        Returns every body's ForwardCache, their outputs' concat and the
+        scores, which training needs."""
         self.check_block(X)
         caches = [
             body.forward(X[:, cols], mode=mode, rng=rng)
@@ -243,33 +245,40 @@ class GapNetModel:
         concat = np.hstack([cache.outputs for cache in caches])
         return caches, concat, self.head.forward(concat).outputs
 
+    def body_outputs(self, X):
+        """Each body's inference output on its columns of block X. The bodies
+        run one at a time, and each pass's cache is dropped before the next."""
+        self.check_block(X)
+        return [body.forward(X[:, cols]).outputs for body, cols in zip(self.bodies, self.columns)]
+
     def predict(self, X):
-        _, _, scores = self.forward(np.asarray(X, dtype=np.float64))
-        return scores.reshape(-1)
+        return self.head.predict(np.hstack(self.body_outputs(np.asarray(X, dtype=np.float64))))
 
     def column_scorer(self, X):
         """A function `score(j, values)`: the scores of block X with its
         column j replaced by `values`, as `predict` gives them.
 
-        Only the body whose cluster holds column j runs again, on the
-        F-ordered column copy that one `forward` over X gave it. The head
-        reads that pass's C-ordered concat of the bodies' outputs: each score
-        writes body k's new output into body k's columns, then restores them.
+        Only the body whose cluster holds column j runs again, on its own
+        F-ordered column copy of X, as `body_outputs` gives it. The head reads
+        the C-ordered concat of the bodies' outputs over X: each score writes
+        body k's new output into body k's columns, then restores them.
         """
         X = np.asarray(X, dtype=np.float64)
-        caches, concat, _ = self.forward(X)
-        owner = np.repeat(np.arange(len(caches)), [len(cols) for cols in self.columns])
-        edges = np.cumsum([0] + [cache.outputs.shape[1] for cache in caches])
+        hidden = self.body_outputs(X)
+        blocks = [X[:, cols] for cols in self.columns]
+        concat = np.hstack(hidden)
+        owner = np.repeat(np.arange(len(blocks)), [len(cols) for cols in self.columns])
+        edges = np.cumsum([0] + [h.shape[1] for h in hidden])
 
         def score(j, values):
             k = owner[j]
-            block, local = caches[k].inputs[0], j - self.columns[k][0]
+            block, local = blocks[k], j - self.columns[k][0]
             out = slice(edges[k], edges[k + 1])
             block[:, local] = values
             concat[:, out] = self.bodies[k].forward(block).outputs
             block[:, local] = X[:, j]
             scores = self.head.forward(concat).outputs.reshape(-1)
-            concat[:, out] = caches[k].outputs
+            concat[:, out] = hidden[k]
             return scores
 
         return score
@@ -314,9 +323,10 @@ def fit_gapnet(model, X, y, cfg, rng):
 
     A full batch over frozen bodies whose only dropout follows their last
     layer caches each body's output before that dropout: it never changes,
-    so `model.forward` computes it once, from the columns of X it always
-    gives the body. Each step then draws only the masks, in body order as a
-    full pass draws them, and applies the head to the C-ordered concat.
+    so `model.body_outputs` computes it once, from the columns of X it
+    always gives the body. Each step then draws only the masks, in body
+    order as a full pass draws them, and applies the head to the C-ordered
+    concat.
     Minibatches get no cache: the cached rows of a batch can differ by an
     ulp from a GEMM over those rows.
     """
@@ -334,7 +344,7 @@ def fit_gapnet(model, X, y, cfg, rng):
         l.dropout == 0 for body in model.bodies for l in body.layers[:-1]
     )
     if cached:
-        hidden = [cache.outputs for cache in model.forward(X)[0]]
+        hidden = model.body_outputs(X)
         rates = [body.layers[-1].dropout for body in model.bodies]
 
     def gradients(Xb, yb, out):

@@ -203,6 +203,28 @@ def test_benchmark_smoke_and_sections(tiny_csv, tmp_path, capsys):
     assert (out_dir / "histogram.csv").exists()
 
 
+def test_summary_lines_keep_their_keys_in_order(tiny_csv, tmp_path, capsys):
+    # json.loads keeps the order in which the keys were printed
+    _, out, _ = run(capsys, "train", tiny_csv, "--epochs", 5, "--out", tmp_path / "t")
+    summary = json.loads(out)
+    assert list(summary) == ["report", "vanilla", "gapnet"]
+    assert list(summary["vanilla"]) == ["path", "test_auc"]
+    assert list(summary["gapnet"]) == ["path", "test_auc", "stage1_test_auc"]
+    report = json.loads((tmp_path / "t" / "train_report.json").read_text())
+    assert {k: summary[k] for k in ("vanilla", "gapnet")} == report["models"]
+
+    _, out, _ = run(capsys, "benchmark", tiny_csv, "--runs", 2, "--epochs", 5,
+                    "--out", tmp_path / "b")
+    summary = json.loads(out)
+    assert list(summary) == ["report", "gapnet_auc", "vanilla_auc", "delong_z", "delong_p"]
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    for name in ("gapnet", "vanilla"):
+        entry = report["models"][name]
+        assert summary[f"{name}_auc"] == f"{entry['auc_mean']:.3f}±{entry['auc_std']:.3f}"
+    pooled = report["delong"]["pooled"]
+    assert (summary["delong_z"], summary["delong_p"]) == (pooled["z"], pooled["p"])
+
+
 def test_manifest_records_what_sets_the_output_bits(tiny_csv, tmp_path):
     from gapnet import numerics
 

@@ -143,7 +143,8 @@ CASES = {
         2, "clusters_per_class must be >= 1"),
     "train, plan clusters share a feature": (
         ["train", "{dir}/few.csv", "--missing-token", "", "--plan", "{dir}/overlap.plan.json",
-         "--epochs", "1", "--out", "{dir}/out"], 2, "plan validation failed"),
+         "--epochs", "1", "--out", "{dir}/out"],
+        2, "plan validation failed: overlaps=[('f2', ['a', 'b'])]"),
     "clusters, plan clusters share a feature": (
         ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan",
          "{dir}/overlap.plan.json"], 2, "supplied plan is invalid for this dataset"),

@@ -2,14 +2,14 @@
 
     python3 tools/output_hashes.py
 
-runs the commands in COMMANDS with the code of the checkout this file sits
-in, in a new temporary directory, with one BLAS thread. Each command that
-reads a CSV gets `--missing-token ""`. The commands share a CSV cache
-(XDG_CACHE_HOME) in the same temporary directory: the first read of each
-CSV parses it, the later reads load the cached cells, and no cache entry of
-the user's is read. It then prints one `sha256  file` line per output file,
-in path order. manifest.json is hashed without its timestamp line, the one
-output that differs between two runs.
+writes PLAN to plan.json, then runs the commands in COMMANDS with the code
+of the checkout this file sits in, in a new temporary directory, with one
+BLAS thread. Each command that reads a CSV gets `--missing-token ""`. The
+commands share a CSV cache (XDG_CACHE_HOME) in the same temporary
+directory: the first read of each CSV parses it, the later reads load the
+cached cells, and no cache entry of the user's is read. It then prints one
+`sha256  file` line per output file, in path order. manifest.json is hashed
+without its timestamp line, the one output that differs between two runs.
 
 Two checkouts wrote the same bytes when their printouts are equal. To get
 the printout of another commit, copy this file into a checkout of it and
@@ -17,6 +17,7 @@ run it there.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# a hand-written plan for madelon.csv: two clusters named by the user, not
+# cluster_N, listed against feature order, with x25 left out
+PLAN = {
+    "late": [f"x{j}" for j in range(26, 41)],
+    "early": [f"x{j}" for j in range(1, 25)],
+}
 
 # (arguments to gapnet or to a script of the checkout, reads a CSV)
 COMMANDS = [
@@ -55,6 +63,11 @@ COMMANDS = [
     (["benchmark", "madelon.csv", "--runs", "2", "--epochs", "30", "--seed", "3",
       "--no-normalize", "--no-stratify", "--test-fraction", "0.3", "--batch-size", "50",
       "--unfreeze-bodies", "--out", "benchmark-minibatch"], True),
+    # the plan's cluster names in the model file, report.json and roc.csv
+    (["train", "madelon.csv", "--plan", "plan.json", "--epochs", "30", "--seed", "1",
+      "--out", "train-plan"], True),
+    (["benchmark", "madelon.csv", "--plan", "plan.json", "--runs", "2", "--epochs", "30",
+      "--seed", "6", "--out", "benchmark-plan"], True),
     (["perfbench/widegaps.py", "--seed", "1", "--out", "wide.csv"], False),
     (["clusters", "wide.csv", "--out", "wide-clusters.json"], True),
     (["train", "wide.csv", "--epochs", "3", "--out", "wide-train"], True),
@@ -98,6 +111,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         out, cache = Path(tmp, "out"), Path(tmp, "cache")
         out.mkdir()
+        (out / "plan.json").write_text(json.dumps(PLAN, indent=2) + "\n", encoding="utf-8")
         for args, reads_csv in COMMANDS:
             run(args, reads_csv, out, cache)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
