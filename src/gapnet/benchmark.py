@@ -10,7 +10,6 @@ import numpy as np
 from . import dataset as ds_mod
 from .clustering import MODELS, signature_clusters
 from .evaluation import (
-    DegenerateComparison,
     aggregate_runs,
     auc,
     confusion_at,
@@ -118,14 +117,8 @@ def run_benchmark(ds, plan=None, cfg=None):
 
 
 def _delong(scores, labels):
-    """delong_test of the first model of MODELS against the second. AUCs
-    that differ with zero variance, as when one model ranks every
-    positive-negative pair rightly and the other every pair wrongly, have no
-    z: z and p are None (null)."""
-    try:
-        return delong_test(*(scores[name] for name in MODELS), labels)
-    except DegenerateComparison as exc:
-        return exc.result
+    """delong_test of the first model of MODELS against the second."""
+    return delong_test(*(scores[name] for name in MODELS), labels)
 
 
 def aggregate_benchmark(results, plan, cfg):

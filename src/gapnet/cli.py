@@ -60,9 +60,10 @@ def _write_json(obj, path):
 
 
 def _input_hashes(args, ds):
-    """The sha256 of the dataset and plan files (None without a plan)."""
+    """The sha256 of the dataset's bytes as load_csv parsed them (None when
+    it cannot vouch for them) and of the plan file (None without a plan)."""
     return {
-        "dataset_sha256": ds.sha256 or ds_mod.file_sha256(args.dataset),
+        "dataset_sha256": ds.sha256,
         "plan_sha256": ds_mod.file_sha256(args.plan) if args.plan else None,
     }
 

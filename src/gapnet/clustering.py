@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import read_json
+
 
 # the models every benchmark run reports, in report order; the DeLong test
 # compares the first with the second. A plan may not name a cluster after one.
@@ -138,20 +140,9 @@ def load_plan(path, feature_names):
     """Read a plan file: JSON object mapping cluster name -> feature name list.
 
     A cluster name may appear once, and may not be one of `MODELS`, the
-    names of the benchmark's other models. A leading UTF-8
-    byte-order mark is dropped, as `load_csv` drops it.
+    names of the benchmark's other models. The file is read by `read_json`.
     """
-
-    def unique_keys(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ClusteringError(f"{path}: name {key!r} appears twice")
-            obj[key] = value
-        return obj
-
-    with open(path, encoding="utf-8-sig") as fh:
-        raw = json.load(fh, object_pairs_hook=unique_keys)
+    raw = read_json(path, ClusteringError)
     if not isinstance(raw, dict) or not raw:
         raise ClusteringError(f"{path}: expected a non-empty cluster mapping")
     name_to_idx = {n: i for i, n in enumerate(feature_names)}

@@ -172,6 +172,26 @@ def file_sha256(path):
     return h.hexdigest()
 
 
+def read_json(path, error):
+    """The JSON value in the UTF-8 file at path, a leading byte-order mark
+    dropped. Text that is not UTF-8 JSON, nests too deeply or names one key
+    twice within an object raises `error`, a ValueError class, naming path."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"name {key!r} appears twice")
+            obj[key] = value
+        return obj
+
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: {exc}") from None
+
+
 def _cache_dir():
     """$XDG_CACHE_HOME/gapnet, or ~/.cache/gapnet when that is unset or
     relative (as the XDG base directory spec asks)."""

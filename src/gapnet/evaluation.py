@@ -13,15 +13,6 @@ class EvaluationError(ValueError):
     pass
 
 
-class DegenerateComparison(EvaluationError):
-    """Two AUCs that differ with zero variance, where no z is defined.
-    `result` holds the AUCs, variance 0 and z and p None."""
-
-    def __init__(self, result):
-        super().__init__("degenerate: zero variance with unequal AUCs")
-        self.result = result
-
-
 def _check_classes(labels):
     labels = np.asarray(labels)
     if not ((labels == 0).any() and (labels == 1).any()):
@@ -161,7 +152,10 @@ def structural_components(scores, labels):
 
 
 def delong_test(scores_a, scores_b, labels):
-    """Paired DeLong test for the difference of two correlated AUCs."""
+    """Paired DeLong test for the difference of two correlated AUCs. AUCs
+    that differ with zero variance, as when one model ranks every
+    positive-negative pair rightly and the other every pair wrongly, have no
+    z: z and p are None."""
     labels = _check_classes(np.asarray(labels).reshape(-1))
     scores_a = np.asarray(scores_a, dtype=np.float64).reshape(-1)
     scores_b = np.asarray(scores_b, dtype=np.float64).reshape(-1)
@@ -185,7 +179,7 @@ def delong_test(scores_a, scores_b, labels):
     if var <= 0:
         if auc_a == auc_b:
             return DelongResult(auc_a, auc_b, 0.0, 0.0, 1.0)
-        raise DegenerateComparison(DelongResult(auc_a, auc_b, 0.0, None, None))
+        return DelongResult(auc_a, auc_b, 0.0, None, None)
     z = (auc_a - auc_b) / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))  # 2 * (1 - Phi(|z|))
     return DelongResult(auc_a, auc_b, var, z, p)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import FeatureCluster
+from .dataset import NormalizationStats, read_json
 from .numerics import (
     AdamState,
     DenseLayer,
@@ -542,8 +543,6 @@ def save_model(model, path, feature_names=None, normalization=None):
 
 
 def _model_from_json(obj):
-    from .dataset import NormalizationStats
-
     if not isinstance(obj, dict):
         raise ModelFileError("expected a JSON object")
     # files written before the field existed are version 1
@@ -600,9 +599,9 @@ def load_model(path):
     not), is not a layer index or is named twice (an entry of rate 0 too),
     a dropout rate outside [0, 1), or a normalization whose mean and std
     are not finite lists of one length per feature name with every std > 0.
+    The file is read by `read_json`.
     """
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path, ModelFileError)
     try:
         return _model_from_json(obj)
     except KeyError as exc:

@@ -317,6 +317,24 @@ def test_the_dataset_is_hashed_only_by_its_read(tmp_path, capsys, monkeypatch, t
     assert recorded["dataset_sha256"] == hashlib.sha256(tiny_csv.read_bytes()).hexdigest()
 
 
+def test_a_dataset_edited_during_its_parse_records_no_sha256(tmp_path, capsys, monkeypatch,
+                                                             tiny_csv):
+    # the model trains on the bytes parsed, which no later hash of the file
+    # can name
+    parse, original = ds_mod._parse_rows, tiny_csv.read_bytes()
+
+    def editing(*args, **kwargs):
+        cells = parse(*args, **kwargs)
+        tiny_csv.write_bytes(original.rsplit(b"\n", 2)[0] + b"\n")  # drop the last row
+        return cells
+
+    monkeypatch.setattr(ds_mod, "_parse_rows", editing)
+    code, _, _ = run(capsys, "train", tiny_csv, "--epochs", 2, "--out", tmp_path / "out")
+    assert code == 0 and tiny_csv.read_bytes() != original
+    report = json.loads((tmp_path / "out" / "train_report.json").read_text())
+    assert report["config"]["dataset_sha256"] is None
+
+
 @pytest.mark.parametrize(
     "setup", [[], ["--no-normalize", "--no-stratify", "--test-fraction", 0.3]],
     ids=["defaults", "no-normalize-no-stratify-0.3"],

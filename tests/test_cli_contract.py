@@ -154,6 +154,18 @@ CASES = {
     "no row complete for the model's features": (
         ["importance", "{dir}/ok.model.json", "{dir}/no-f1.csv", "--missing-token", ""],
         2, "no rows are complete for the model's features"),
+    "model file nested too deeply": (
+        ["importance", "{dir}/deep.model.json", "{dir}/few.csv"],
+        2, "deep.model.json: maximum recursion depth exceeded"),
+    "plan file nested too deeply": (
+        ["clusters", "{dir}/few.csv", "--missing-token", "", "--plan", "{dir}/deep.plan.json"],
+        2, "deep.plan.json: maximum recursion depth exceeded"),
+    "model file that is not JSON": (
+        ["importance", "{dir}/text.model.json", "{dir}/few.csv"],
+        2, "text.model.json: Expecting value: line 1 column 1 (char 0)"),
+    "model file names a key twice": (
+        ["importance", "{dir}/twice.model.json", "{dir}/few.csv", "--missing-token", ""],
+        2, "twice.model.json: name 'kind' appears twice"),
 }
 
 
@@ -183,6 +195,12 @@ def inputs(tmp_path_factory):
                         ("narrow-stats", baseline_model(2, normalization_width=1)),
                         ("renamed", {**baseline_model(2), "feature_names": ["g1", "g2"]})):
         (d / f"{name}.model.json").write_text(json.dumps(model))
+    (d / "deep.model.json").write_text("[" * 100_000)
+    (d / "deep.plan.json").write_text("[" * 100_000)
+    (d / "text.model.json").write_text("not a model\n")
+    # a loadable baseline after a first kind and format_version it repeats
+    twice = json.dumps({**baseline_model(2), "format_version": 1})
+    (d / "twice.model.json").write_text('{"kind": "forest", "format_version": 7, ' + twice[1:])
     return d
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gapnet.benchmark import BenchmarkConfig, aggregate_benchmark
 from gapnet.clustering import ClusterPlan, FeatureCluster
 from gapnet.evaluation import (
+    DelongResult,
     EvaluationError,
     RocCurve,
     _midranks,
@@ -271,10 +272,9 @@ def test_delong_p_matches_normal_tail():
 
 
 def test_delong_degenerate_unequal_aucs():
-    # paired vectors with differing AUCs but zero component variance
+    # paired vectors with differing AUCs but zero component variance: no z
     labels = [1, 0]
-    with pytest.raises(EvaluationError, match="degenerate"):
-        delong_test([0.9, 0.1], [0.1, 0.9], labels)
+    assert delong_test([0.9, 0.1], [0.1, 0.9], labels) == DelongResult(1.0, 0.0, 0.0, None, None)
 
 
 def test_benchmark_records_a_degenerate_comparison_as_null():

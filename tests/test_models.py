@@ -795,6 +795,14 @@ def test_load_model_rejects_corrupt_files(tmp_path, name):
         load_model(path)
 
 
+def test_a_model_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    text = json.dumps(tiny_models(tmp_path)["gapnet"])
+    (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.json").read_bytes().startswith(b"\xef\xbb\xbf")
+    save_model(load_model(tmp_path / "bom.json")[0], tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text()) == json.loads(text)
+
+
 @given(
     sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
