@@ -59,13 +59,11 @@ def _write_json(obj, path):
     return text
 
 
-def _input_hashes(args, ds):
+def _input_hashes(ds, plan):
     """The sha256 of the dataset's bytes as load_csv parsed them (None when
-    it cannot vouch for them) and of the plan file (None without a plan)."""
-    return {
-        "dataset_sha256": ds.sha256,
-        "plan_sha256": ds_mod.file_sha256(args.plan) if args.plan else None,
-    }
+    it cannot vouch for them) and of the plan file's bytes as load_plan
+    parsed them (None without a plan file)."""
+    return {"dataset_sha256": ds.sha256, "plan_sha256": plan.sha256}
 
 
 def _out_dir(arg):
@@ -176,6 +174,8 @@ def cmd_synth(args):
 def cmd_clusters(args):
     ds = _load_dataset(args)
     plan = load_plan(args.plan, ds.feature_names) if args.plan else signature_clusters(ds)
+    if args.out:  # its directory made, as train's and benchmark's --out
+        _out_dir(Path(args.out).parent)
     report = validate_plan(plan, ds)
     out = {
         "clusters": [
@@ -227,7 +227,7 @@ def cmd_train(args):
     # one run gives the same report from any directory
     config = {k: v for k, v in vars(args).items() if k not in ("func", "dataset", "plan", "out")}
     report = {
-        "config": {**config, **_input_hashes(args, ds)},
+        "config": {**config, **_input_hashes(ds, plan)},
         "version": __version__,
         "test_rows": split.test_rows.tolist(),
         "models": {},
@@ -257,7 +257,7 @@ def cmd_benchmark(args):
     config_snapshot = {
         "command": "benchmark",
         "dataset": str(args.dataset),
-        **_input_hashes(args, ds),
+        **_input_hashes(ds, plan),
         "plan_file": args.plan,
         "benchmark": vars(cfg).copy(),
         "version": __version__,
@@ -323,6 +323,8 @@ def cmd_importance(args):
         raise DatasetError("no rows are complete for the model's features")
     Xc = work.dense_block(rows, feats)
     labels = work.labels[rows]
+    if args.out:  # its directory made before any column is scored
+        _out_dir(Path(args.out).parent)
     rng = np.random.default_rng(args.seed)
     report = importance_report(
         model.predict,

@@ -8,7 +8,7 @@ enough jointly-complete rows per cluster.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ class FeatureCluster:
 @dataclass
 class ClusterPlan:
     clusters: list  # of FeatureCluster
+    sha256: str | None = field(default=None, compare=False)  # of the file load_plan read
 
 
 @dataclass
@@ -140,9 +141,10 @@ def load_plan(path, feature_names):
     """Read a plan file: JSON object mapping cluster name -> feature name list.
 
     A cluster name may appear once, and may not be one of `MODELS`, the
-    names of the benchmark's other models. The file is read by `read_json`.
+    names of the benchmark's other models. The file is read by `read_json`,
+    and the plan carries the sha256 of the bytes it parsed.
     """
-    raw = read_json(path, ClusteringError)
+    raw, digest = read_json(path, ClusteringError)
     if not isinstance(raw, dict) or not raw:
         raise ClusteringError(f"{path}: expected a non-empty cluster mapping")
     name_to_idx = {n: i for i, n in enumerate(feature_names)}
@@ -158,7 +160,7 @@ def load_plan(path, feature_names):
                 raise ClusteringError(f"{path}: unknown feature {f!r} in {name!r}")
             indices.append(name_to_idx[f])
         clusters.append(FeatureCluster(name=name, features=indices))
-    return ClusterPlan(clusters=clusters)
+    return ClusterPlan(clusters=clusters, sha256=digest)
 
 
 def save_plan(plan, path, feature_names):

@@ -174,8 +174,9 @@ def file_sha256(path):
 
 def read_json(path, error):
     """The JSON value in the UTF-8 file at path, a leading byte-order mark
-    dropped. Text that is not UTF-8 JSON, nests too deeply or names one key
-    twice within an object raises `error`, a ValueError class, naming path."""
+    dropped, and the sha256 of the bytes it was read from. Text that is not
+    UTF-8 JSON, nests too deeply or names one key twice within an object
+    raises `error`, a ValueError class, naming path."""
 
     def unique_keys(pairs):
         obj = {}
@@ -185,11 +186,13 @@ def read_json(path, error):
             obj[key] = value
         return obj
 
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        value = json.loads(data.decode("utf-8-sig"), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from None
+    return value, hashlib.sha256(data).hexdigest()
 
 
 def _cache_dir():
@@ -269,47 +272,31 @@ def _store_entry(entry, cells):
 
 def _parse_rows(reader, path, header, label_pos, token):
     """The records of a csv.reader as an (n, len(header)) float64 array: the
-    label as 0.0 or 1.0, a missing cell as _MISSING. Raises DatasetError at
-    the first bad record, naming the line it ends on (a quoted field may span
-    lines), or when there is no record.
-
-    float() strips the whitespace that strip() does, or rejects the cell, so
-    a row reads unstripped with one comprehension; a row where float()
-    raises takes the stripped path. A token that strip() changes or that
-    reads as a number could equal a stripped cell that float() reads, so
-    then every row takes the stripped path.
+    label as 0.0 or 1.0, a missing cell as _MISSING. Each cell is stripped
+    once; a feature cell that is then empty or equals the token is missing.
+    Raises DatasetError at the first bad record, naming the line it ends on
+    (a quoted field may span lines), or when there is no record.
     """
     width = len(header)
-    lean = token == token.strip() and not _reads_as_number(token)
     out = []
     for row in reader:
         if len(row) != width:
             raise DatasetError(f"{path}:{reader.line_num}: expected {width} fields")
-        if row[label_pos] not in _LABELS:
-            label_cell = row[label_pos].strip()
-            if label_cell not in _LABELS:
-                raise DatasetError(
-                    f"{path}:{reader.line_num}: label must be 0 or 1, got {label_cell!r}"
-                )
-        if lean:
-            try:
-                out.append([float(c) if c and c != token else _MISSING for c in row])
-                continue
-            except ValueError:
-                pass
         cells = [c.strip() for c in row]
-        for i, cell in enumerate(cells):
-            if i != label_pos and (cell == "" or cell == token):
-                cells[i] = _MISSING
-            else:
-                try:
-                    cells[i] = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}:{reader.line_num}: cannot parse {cell!r} in column "
-                        f"{header[i]!r}"
-                    ) from None
-        out.append(cells)
+        label = cells[label_pos]
+        if label not in _LABELS:
+            raise DatasetError(f"{path}:{reader.line_num}: label must be 0 or 1, got {label!r}")
+        try:
+            values = [float(c) if c and c != token else _MISSING for c in cells]
+        except ValueError:
+            bad = next(i for i, c in enumerate(cells)
+                       if c and c != token and not _reads_as_number(c))
+            raise DatasetError(
+                f"{path}:{reader.line_num}: cannot parse {cells[bad]!r} in column "
+                f"{header[bad]!r}"
+            ) from None
+        values[label_pos] = float(label)  # never missing, even when it equals the token
+        out.append(values)
     if not out:
         raise DatasetError(f"{path}: no data rows")
     return np.array(out, dtype=np.float64)

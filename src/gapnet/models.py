@@ -601,7 +601,7 @@ def load_model(path):
     are not finite lists of one length per feature name with every std > 0.
     The file is read by `read_json`.
     """
-    obj = read_json(path, ModelFileError)
+    obj, _ = read_json(path, ModelFileError)
     try:
         return _model_from_json(obj)
     except KeyError as exc:

@@ -335,6 +335,28 @@ def test_a_dataset_edited_during_its_parse_records_no_sha256(tmp_path, capsys, m
     assert report["config"]["dataset_sha256"] is None
 
 
+def test_the_plan_sha256_names_the_plan_the_models_trained_on(tmp_path, capsys, monkeypatch,
+                                                              tiny_csv):
+    # a plan file rewritten once the run has read it keeps the hash of the
+    # bytes that were read
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"a": ["f1", "f2"], "b": ["f3", "f4"]}))
+    read = hashlib.sha256(plan.read_bytes()).hexdigest()
+    train_run = gapnet.cli.train_run
+
+    def rewriting(*args, **kwargs):
+        result = train_run(*args, **kwargs)
+        plan.write_text(json.dumps({"b": ["f3", "f4"], "a": ["f1", "f2"]}))
+        return result
+
+    monkeypatch.setattr(gapnet.cli, "train_run", rewriting)
+    code, _, _ = run(capsys, "train", tiny_csv, "--plan", plan, "--epochs", 2,
+                     "--out", tmp_path / "out")
+    assert code == 0 and hashlib.sha256(plan.read_bytes()).hexdigest() != read
+    report = json.loads((tmp_path / "out" / "train_report.json").read_text())
+    assert report["config"]["plan_sha256"] == read
+
+
 @pytest.mark.parametrize(
     "setup", [[], ["--no-normalize", "--no-stratify", "--test-fraction", 0.3]],
     ids=["defaults", "no-normalize-no-stratify-0.3"],
@@ -674,6 +696,17 @@ def test_importance_command(tiny_csv, tmp_path, capsys):
     f = len(report["features"])
     assert sum(e["rank"] for e in report["features"]) == f * (f + 1) // 2
     assert len(report["top"]) == min(20, f)
+
+
+def test_importance_and_clusters_make_the_directory_of_their_out_file(tiny_csv, tmp_path,
+                                                                      capsys):
+    run(capsys, "train", tiny_csv, "--model", "vanilla", "--epochs", 2, "--out", tmp_path)
+    for argv in (["importance", tmp_path / "vanilla.model.json", tiny_csv, "--repeats", 1],
+                 ["clusters", tiny_csv]):
+        out_path = tmp_path / argv[0] / "new" / "dir" / "out.json"
+        code, out, _ = run(capsys, *argv, "--out", out_path)
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == out
 
 
 def test_importance_deterministic(tiny_csv, tmp_path, capsys):

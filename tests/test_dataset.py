@@ -451,7 +451,7 @@ def count_parses(mp):
 
 @given(data=st.data(), token=st.sampled_from(READ_TOKENS))
 @settings(max_examples=80, deadline=None)
-def test_forked_ranges_read_the_bits_of_a_per_cell_reader(tmp_path_factory, data, token):
+def test_load_csv_reads_the_bits_of_a_per_cell_reader(tmp_path_factory, data, token):
     text = data.draw(gapped_csv_text(token))
     path = tmp_path_factory.mktemp("read") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -471,7 +471,7 @@ def test_forked_ranges_read_the_bits_of_a_per_cell_reader(tmp_path_factory, data
 
 
 @pytest.mark.parametrize("token,cell,value", [
-    ("-1", " -1", None),  # a numeric token: every row is stripped first
+    ("-1", " -1", None),  # a numeric token equals the stripped cell
     ("NA", " NA\t", None),
     ("NA", " \t", None),
     ("NA", "\x1c2.5\xa0", 2.5),  # strip() drops "\x1c"; float() does not
@@ -525,6 +525,9 @@ def test_a_byte_order_mark_is_not_read_on_a_serial_read(tmp_path, label_first):
     ("1,2", "expected 3 fields"),
     ("1,2,7", "label must be 0 or 1, got '7'"),
     ("1, x ,1", "cannot parse 'x' in column 'b'"),
+    # the padded good cell before the bad one reads once stripped
+    ("\x1c2.5,x,0", "cannot parse 'x' in column 'b'"),
+    ("\xa02.5,x,0", "cannot parse 'x' in column 'b'"),
 ])
 def test_a_bad_record_in_any_range_gives_the_serial_error(tmp_path, row, bad, message):
     path = write(tmp_path, many_rows(bad=(row, bad)))
@@ -553,7 +556,7 @@ def test_a_bad_record_after_a_field_that_spans_lines_names_its_line(tmp_path, te
 
 
 @pytest.mark.parametrize("case", ["quoted field"])
-def test_cases_that_must_not_fork_read_serially(tmp_path, case):
+def test_quoted_fields_read_the_bits_of_a_per_cell_reader(tmp_path, case):
     text = many_rows().replace("\n38.5,", '\n"38.5",')
     assert '"' in text
     path = write(tmp_path, text)
@@ -567,7 +570,7 @@ def entries(cache):
     return sorted(cache.glob("*")) if cache.exists() else []
 
 
-def test_a_hit_neither_forks_nor_parses_and_keeps_every_bit(
+def test_a_hit_does_not_parse_and_keeps_every_bit(
         tmp_path, monkeypatch, parsed_cell_cache):
     text = many_rows().replace("\n1.5,,1\n", "\n-0.0,nan,1\n")
     text = text.replace("\n2.5,,0\n", "\n5e-324,inf,0\n")
