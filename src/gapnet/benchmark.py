@@ -19,7 +19,7 @@ from .evaluation import (
     roc_curve,
 )
 from .models import TrainConfig, predict, predict_subnet, train_gapnet, train_vanilla
-from .numerics import forked_map, usable_cpus
+from .numerics import forked_map
 
 
 class BenchmarkError(RuntimeError):
@@ -29,8 +29,7 @@ class BenchmarkError(RuntimeError):
 @dataclass
 class BenchmarkConfig(TrainConfig):
     """Training settings plus the number of resamples and `jobs`, the most
-    processes the resamples run on (never more than the runs or the usable
-    CPUs)."""
+    processes the resamples run on (`numerics.forked_map` sets how many)."""
 
     runs: int = 100
     jobs: int = 1
@@ -101,18 +100,15 @@ def _worker(ds, plan, cfg, run_index):
 def run_benchmark(ds, plan=None, cfg=None):
     """All runs plus aggregation; identical output regardless of job count.
 
-    The runs are cut into min(jobs, runs, usable CPUs) contiguous ranges.
-    The first range runs in this process and each other one on a forked
-    child (`forked_map`), so the results come back in run order and the
-    first failing run is the one whose error is raised.
+    `forked_map` cuts the runs into at most `cfg.jobs` contiguous ranges,
+    one per process, so the results come back in run order and the first
+    failing run is the one whose error is raised.
     """
     cfg = cfg or BenchmarkConfig()
     if plan is None:
         plan = signature_clusters(ds)
-    parts = min(cfg.jobs, cfg.runs, usable_cpus())
-    cuts = [cfg.runs * i // parts for i in range(parts + 1)]
-    ranges = forked_map(lambda b: [_worker(ds, plan, cfg, i) for i in range(*b)],
-                        zip(cuts, cuts[1:]))
+    ranges = forked_map(lambda runs: [_worker(ds, plan, cfg, i) for i in runs],
+                        cfg.runs, cfg.jobs)
     return aggregate_benchmark([res for runs in ranges for res in runs], plan, cfg)
 
 

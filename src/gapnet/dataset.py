@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import forked_map, usable_cpus
+from .numerics import forked_map
 
 # save_csv formats a table of at least this many cells on forked children.
 # In process on a 2-CPU host, a forked write of an n x 40 table took 11%
@@ -318,10 +318,9 @@ def save_csv(ds, path, missing_token="", label_column="label"):
     csv.writer's (excel dialect): a float repr never needs quoting, so only
     the header and the token go through it.
 
-    A table of at least FORK_CELLS cells is cut into one contiguous range of
-    rows per usable CPU, and numerics.forked_map formats the first range
-    here and each other on a forked child. The file is opened only once
-    every row is formatted.
+    A table of at least FORK_CELLS cells asks numerics.forked_map for one
+    process per row, which it cuts to the usable CPUs; a smaller one is
+    formatted here. The file is opened only once every row is formatted.
     """
     if _reads_as_number(missing_token):
         raise DatasetError(f"missing token {missing_token!r} would read as a number")
@@ -333,9 +332,9 @@ def save_csv(ds, path, missing_token="", label_column="label"):
     csv.writer(quoted).writerow([missing_token, ""])
     token = quoted.getvalue()[: -len(",\r\n")]
 
-    def format_rows(bounds):
+    def format_rows(part):
         lines = []
-        rows = slice(*bounds)
+        rows = slice(part.start, part.stop)
         for values, present, label in zip(ds.values[rows], ds.present[rows], ds.labels[rows]):
             cells = [
                 repr(v) if p else token
@@ -345,9 +344,7 @@ def save_csv(ds, path, missing_token="", label_column="label"):
         return "".join(lines)
 
     n = ds.n_samples
-    parts = min(usable_cpus(), n) if ds.values.size >= FORK_CELLS else 1
-    cuts = [n * i // parts for i in range(parts + 1)]
-    bodies = forked_map(format_rows, zip(cuts, cuts[1:]))
+    bodies = forked_map(format_rows, n, n if ds.values.size >= FORK_CELLS else 1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(bodies)

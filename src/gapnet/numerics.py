@@ -101,27 +101,30 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def forked_map(fn, items):
-    """[fn(x) for x in items], with items 1 and up each run on a forked child.
+def forked_map(fn, n, processes):
+    """[fn(r) for r in ranges], where range(n) is cut into
+    p = min(processes, n, usable CPUs) contiguous ranges, the i-th being
+    range(n * i // p, n * (i + 1) // p), and ranges 1 and up each run on a
+    forked child.
 
-    Every child is forked before item 0 runs here, and sends its result or
-    its exception back pickled through a pipe. The results come back in item
-    order; the first failure in item order is raised here, and a child that
+    Every child is forked before range 0 runs here, and sends its result or
+    its exception back pickled through a pipe. The results come back in range
+    order; the first failure in range order is raised here, and a child that
     ends without sending a result raises RuntimeError. Every child is reaped
     before this returns or raises, and is killed first when this fails or is
-    interrupted before every result is in. Every item runs here when there
-    is no os.fork, one usable CPU, another live thread (a forked copy of a
-    lock that thread holds would never be released) or one item.
+    interrupted before every result is in. Every range runs here when there
+    is no os.fork, another live thread (a forked copy of a lock that thread
+    holds would never be released) or one range.
     """
-    items = list(items)
-    if (len(items) < 2 or not hasattr(os, "fork") or usable_cpus() < 2
-            or threading.active_count() > 1):
-        return [fn(x) for x in items]
+    parts = min(processes, n, usable_cpus())
+    ranges = [range(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+    if len(ranges) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(r) for r in ranges]
     children, sent, codes = [], [], []
     try:
-        for item in items[1:]:
-            children.append(_fork_call(fn, item))
-        results = [fn(items[0])]
+        for part in ranges[1:]:
+            children.append(_fork_call(fn, part))
+        results = [fn(ranges[0])]
         for _, r in children:
             with open(r, "rb", closefd=False) as fh:
                 sent.append(fh.read())

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gapnet import numerics
 from gapnet.dataset import GappedDataset
 from gapnet.synth import MadelonConfig, generate_madelon, inject_gaps, paper_gap_pattern
 
@@ -16,9 +17,11 @@ def parsed_cell_cache(tmp_path_factory, monkeypatch):
     return cache / "gapnet"
 
 
-def count_forks(mp):
-    """Patch os.fork through the MonkeyPatch mp to record each pid it
-    returns to this process; the list it records them in."""
+def count_forks(mp, cpus):
+    """Through the MonkeyPatch mp, give forked_map `cpus` usable CPUs and
+    patch os.fork to record each pid it returns to this process; the list
+    it records them in."""
+    mp.setattr(numerics, "usable_cpus", lambda: cpus)
     forked, fork = [], os.fork
 
     def counted_fork():
@@ -29,6 +32,13 @@ def count_forks(mp):
 
     mp.setattr(os, "fork", counted_fork)
     return forked
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) gives forked_map n usable CPUs; the pids os.fork returned
+    here."""
+    return lambda n: count_forks(monkeypatch, n)
 
 
 def assert_no_child_left():

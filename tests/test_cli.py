@@ -15,7 +15,7 @@ from gapnet.cli import main
 from gapnet.clustering import signature_clusters
 from gapnet.dataset import load_csv, save_csv
 from gapnet.models import build_subnet, tile_rows
-from conftest import assert_no_child_left, count_forks, make_dataset
+from conftest import assert_no_child_left, make_dataset
 
 
 @pytest.fixture
@@ -516,20 +516,6 @@ def test_benchmark_config_keys():
         "seed", "freeze_bodies", "runs", "test_fraction", "normalize", "stratified",
         "jobs",
     }
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPUs that run_benchmark and forked_map see; the pids
-    os.fork returned here."""
-    from gapnet import benchmark, numerics
-
-    def set_cpus(n):
-        monkeypatch.setattr(benchmark, "usable_cpus", lambda: n)
-        monkeypatch.setattr(numerics, "usable_cpus", lambda: n)
-        return count_forks(monkeypatch)
-
-    return set_cpus
 
 
 @pytest.mark.parametrize("runs,jobs,n_cpus,forks", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapnet import dataset, numerics
+from gapnet import dataset
 from gapnet.dataset import (
     DatasetError,
     GappedDataset,
@@ -111,9 +111,7 @@ def forking_at_every_size(mp, cpus):
     """Patch save_csv to fork at any size on `cpus` CPUs; the list of the
     pids that os.fork returned to this process."""
     mp.setattr(dataset, "FORK_CELLS", 0)
-    mp.setattr(dataset, "usable_cpus", lambda: cpus)
-    mp.setattr(numerics, "usable_cpus", lambda: cpus)
-    return count_forks(mp)
+    return count_forks(mp, cpus)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -479,7 +477,7 @@ def test_load_csv_reads_the_bits_of_a_per_cell_reader(tmp_path_factory, data, to
     ("", "-inf ", -np.inf),
     (" NA", " NA", "cannot parse 'NA' in column 'b'"),  # strip() changes the token
 ])
-def test_cells_at_the_edges_of_the_lean_row_loop(tmp_path, token, cell, value):
+def test_a_cell_is_stripped_before_it_is_matched_or_parsed(tmp_path, token, cell, value):
     path = write(tmp_path, f"a,b,label\n1,{cell},0\n")
     if isinstance(value, str) and value.startswith("cannot parse"):
         with pytest.raises(DatasetError, match=f":2: {value}$"):
@@ -529,7 +527,7 @@ def test_a_byte_order_mark_is_not_read_on_a_serial_read(tmp_path, label_first):
     ("\x1c2.5,x,0", "cannot parse 'x' in column 'b'"),
     ("\xa02.5,x,0", "cannot parse 'x' in column 'b'"),
 ])
-def test_a_bad_record_in_any_range_gives_the_serial_error(tmp_path, row, bad, message):
+def test_a_bad_record_is_reported_with_its_line_and_fault(tmp_path, row, bad, message):
     path = write(tmp_path, many_rows(bad=(row, bad)))
     with pytest.raises(DatasetError) as error:
         load_csv(path)

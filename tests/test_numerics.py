@@ -23,7 +23,7 @@ from gapnet.numerics import (
     relu,
     sigmoid,
 )
-from conftest import assert_no_child_left, count_forks
+from conftest import assert_no_child_left
 
 
 def make_net(widths, activations, seed=0):
@@ -325,61 +325,72 @@ def test_workspace_takes_batches_of_its_own_size_only():
             net.backprop(cache, np.ones(4), workspace=Workspace(net, rows))
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """forked_map sees two usable CPUs; the pids os.fork returned here."""
-    monkeypatch.setattr(numerics, "usable_cpus", lambda: 2)
-    return count_forks(monkeypatch)
-
-
-def test_forked_map_returns_the_results_in_item_order(two_cpus):
-    pids = forked_map(lambda x: (x * x, os.getpid()), range(4))
+def test_forked_map_returns_the_results_in_item_order(cpus):
+    forked = cpus(4)
+    pids = forked_map(lambda r: (r.start * r.start, os.getpid()), 4, 4)
     assert [square for square, _ in pids] == [0, 1, 4, 9]
     assert pids[0][1] == os.getpid()
     assert len({pid for _, pid in pids}) == 4
-    assert len(two_cpus) == 3
+    assert len(forked) == 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_cpus,processes,n,ranges", [
+    (2, 5, 5, [range(0, 2), range(2, 5)]),
+    (8, 5, 3, [range(0, 1), range(1, 2), range(2, 3)]),
+    (8, 2, 5, [range(0, 2), range(2, 5)]),
+])
+def test_forked_map_cuts_range_n_to_the_fewest_of_processes_n_and_cpus(
+        cpus, n_cpus, processes, n, ranges):
+    # the calling process runs the first range, so it forks one child fewer
+    forked = cpus(n_cpus)
+    assert forked_map(lambda r: r, n, processes) == ranges
+    assert len(forked) == len(ranges) - 1
     assert_no_child_left()
 
 
 def fail_from(first):
-    def fn(x):
-        if x >= first:
-            raise KeyError(f"item {x}")
-        return x
+    def fn(r):
+        if r.start >= first:
+            raise KeyError(f"item {r.start}")
+        return r.start
     return fn
 
 
 @pytest.mark.parametrize("first", [0, 1, 2])
-def test_forked_map_raises_the_first_failure_in_item_order(two_cpus, first):
+def test_forked_map_raises_the_first_failure_in_item_order(cpus, first):
+    forked = cpus(4)
     with pytest.raises(KeyError, match=f"item {first}"):
-        forked_map(fail_from(first), range(4))
-    assert len(two_cpus) == 3
+        forked_map(fail_from(first), 4, 4)
+    assert len(forked) == 3
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("code", [0, 5])
-def test_a_child_that_sends_no_result_is_a_runtime_error(two_cpus, code):
+def test_a_child_that_sends_no_result_is_a_runtime_error(cpus, code):
+    cpus(3)
     with pytest.raises(RuntimeError, match=f"code {code} without a result"):
-        forked_map(lambda x: os._exit(code) if x == 2 else x, range(3))
+        forked_map(lambda r: os._exit(code) if r.start == 2 else r.start, 3, 3)
     assert_no_child_left()
 
 
-def test_the_children_are_killed_when_the_caller_fails(two_cpus):
-    def fn(x):
-        if x == 0:
+def test_the_children_are_killed_when_the_caller_fails(cpus):
+    def fn(r):
+        if r.start == 0:
             raise ValueError("caller failed")
         threading.Event().wait(60)  # killed long before this returns
 
+    forked = cpus(3)
     with pytest.raises(ValueError, match="caller failed"):
-        forked_map(fn, range(3))
-    assert len(two_cpus) == 2
+        forked_map(fn, 3, 3)
+    assert len(forked) == 2
     assert_no_child_left()
 
 
 def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
     # the first fork succeeds, the second raises: forked_map kills and reaps
     # the first child, and _fork_call closes the pipe it made for the second
-    monkeypatch.setattr(numerics, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 3)
     fork, pipe, ends = os.fork, os.pipe, []
 
     def recorded_pipe():
@@ -394,7 +405,7 @@ def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
     monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(os, "fork", fork_once)
     with pytest.raises(OSError, match="fork failed"):
-        forked_map(lambda x: x, range(3))
+        forked_map(lambda r: r, 3, 3)
     assert len(ends) == 4
     for fd in ends:
         with pytest.raises(OSError):
@@ -418,15 +429,16 @@ def test_cases_that_must_not_fork_run_here(monkeypatch, request, case):
     def no_fork():
         raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1 if case == "one cpu" else 2)
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1 if case == "one cpu" else 3)
     if case == "no os.fork":
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", no_fork)
     if case == "live thread":
         request.getfixturevalue("live_thread")
-    items = [3] if case == "one item" else [3, 4, 5]
-    assert forked_map(lambda x: (x, os.getpid()), items) == [(x, os.getpid()) for x in items]
+    n = 1 if case == "one item" else 3
+    ranges = [range(0, 3)] if case == "one cpu" else [range(i, i + 1) for i in range(n)]
+    assert forked_map(lambda r: (r, os.getpid()), n, 3) == [(r, os.getpid()) for r in ranges]
 
 
 def test_usable_cpus_is_at_least_one(monkeypatch):
