@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -114,46 +115,47 @@ def _add_dataset_args(p):
 
 
 def _add_train_args(p):
+    """`--plan`, and one flag per TrainConfig field that stores into the
+    field and defaults to the field's default."""
     p.add_argument("--plan", help="JSON plan file: cluster name -> feature names")
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--hidden-multiplier", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--no-stratify", action="store_true")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--dropout", dest="dropout_rate", type=float, default=TrainConfig.dropout_rate)
+    p.add_argument("--hidden-multiplier", type=int, default=TrainConfig.hidden_multiplier)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--test-fraction", type=float, default=TrainConfig.test_fraction)
+    p.add_argument("--no-normalize", dest="normalize", action="store_false")
+    p.add_argument("--no-stratify", dest="stratified", action="store_false")
     p.add_argument(
         "--unfreeze-bodies",
-        action="store_true",
+        dest="freeze_bodies",
+        action="store_false",
         help="fine-tune sub-network bodies during stage II instead of freezing them",
     )
 
 
+def _config(cls, args):
+    """A cls of the parsed arguments named as its fields; its other fields
+    keep their defaults."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+
+
 def cmd_synth(args):
+    cfg = _config(MadelonConfig, args)
     if args.paper_madelon:
-        paper = MadelonConfig()
-        conflicts = [flag for flag, differs in (
-            ("--n-samples", args.n_samples != paper.n_samples),
-            ("--class-separation", args.class_separation != paper.class_separation),
-            ("--clusters-per-class", args.clusters_per_class != paper.clusters_per_class),
-            ("--no-gaps", args.no_gaps),
-        ) if differs]
+        paper = MadelonConfig(seed=cfg.seed)  # the published configuration at any seed
+        conflicts = [f"--{f.name.replace('_', '-')}" for f in fields(cfg)
+                     if getattr(cfg, f.name) != getattr(paper, f.name)]
+        conflicts += ["--no-gaps"] * args.no_gaps
         if conflicts:
             raise SynthError(
                 f"--paper-madelon fixes the published configuration; "
                 f"it conflicts with {', '.join(conflicts)}"
             )
-    cfg = MadelonConfig(
-        n_samples=args.n_samples,
-        class_separation=args.class_separation,
-        clusters_per_class=args.clusters_per_class,
-        seed=args.seed,
-    )
     ds = generate_madelon(cfg)
     if not args.no_gaps:
-        ds = inject_gaps(ds, paper_gap_pattern(args.n_samples))
+        ds = inject_gaps(ds, paper_gap_pattern(cfg.n_samples))
     ds_mod.save_csv(ds, args.out)
     complete = ds.complete_rows()
     print(
@@ -201,23 +203,8 @@ def cmd_clusters(args):
     return 0
 
 
-def _train_config(args):
-    return TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        dropout_rate=args.dropout,
-        hidden_multiplier=args.hidden_multiplier,
-        seed=args.seed,
-        freeze_bodies=not args.unfreeze_bodies,
-        test_fraction=args.test_fraction,
-        normalize=not args.no_normalize,
-        stratified=not args.no_stratify,
-    )
-
-
 def cmd_train(args):
-    cfg = _train_config(args)
+    cfg = _config(TrainConfig, args)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
     out = _out_dir(args.out)
@@ -249,7 +236,7 @@ def cmd_train(args):
 
 
 def cmd_benchmark(args):
-    cfg = BenchmarkConfig(**vars(_train_config(args)), runs=args.runs, jobs=args.jobs)
+    cfg = _config(BenchmarkConfig, args)
     ds = _load_dataset(args)
     plan = _resolve_plan(args, ds)
     out = _out_dir(args.out)  # a bad --out fails before any run trains
@@ -363,14 +350,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark dataset")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-samples", type=int, default=1000)
-    p.add_argument(
-        "--class-separation", type=float, default=MadelonConfig.class_separation
-    )
-    p.add_argument(
-        "--clusters-per-class", type=int, default=MadelonConfig.clusters_per_class
-    )
+    p.add_argument("--seed", type=int, default=MadelonConfig.seed)
+    p.add_argument("--n-samples", type=int, default=MadelonConfig.n_samples)
+    p.add_argument("--class-separation", type=float, default=MadelonConfig.class_separation)
+    p.add_argument("--clusters-per-class", type=int, default=MadelonConfig.clusters_per_class)
     p.add_argument("--no-gaps", action="store_true", help="skip the gap pattern")
     p.add_argument(
         "--paper-madelon",
@@ -396,8 +379,8 @@ def build_parser():
     p = sub.add_parser("benchmark", help="repeated-resampling comparison")
     _add_dataset_args(p)
     _add_train_args(p)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--runs", type=int, default=BenchmarkConfig.runs)
+    p.add_argument("--jobs", type=int, default=BenchmarkConfig.jobs)
     p.add_argument("--out", help="output directory (default $GAPNET_OUT or .)")
     p.set_defaults(func=cmd_benchmark)
 

@@ -78,12 +78,11 @@ class GappedDataset:
 
     def complete_rows_for(self, feature_indices):
         """Rows complete with respect to a subset of features."""
-        idx = np.asarray(list(feature_indices), dtype=int)
-        if idx.size == 0:
-            return np.arange(self.n_samples)
-        if idx.min() < 0 or idx.max() >= self.n_features:
+        idx = list(feature_indices)
+        # checked before the conversion, which overflows on a huge index
+        if not all(0 <= j < self.n_features for j in idx):
             raise DatasetError("feature index out of range")
-        return np.flatnonzero(self.present[:, idx].all(axis=1))
+        return np.flatnonzero(self.present[:, np.asarray(idx, dtype=int)].all(axis=1))
 
     def dense_block(self, rows, feature_indices):
         """Values for the given rows/features; every requested cell must be present."""
@@ -131,7 +130,7 @@ def load_csv(path, missing_token="NA", label_column="label"):
                 raise DatasetError(f"{path}: empty file")
             label_pos, feature_names = _header_fields(path, header, label_column)
             cells, digest = _cached_parse(
-                path, [missing_token, label_column], len(header),
+                path, [missing_token, label_column], len(header), label_pos,
                 lambda: _parse_rows(reader, path, header, label_pos, missing_token))
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
@@ -204,7 +203,7 @@ def _cache_dir():
     return os.path.join(base, "gapnet")
 
 
-def _cached_parse(path, arguments, width, read):
+def _cached_parse(path, arguments, width, label_pos, read):
     """The (n, width) cells of the file at path, from `read()` or from what a
     past read stored for the same file bytes, `arguments` and parser; and the
     sha256 of the file, or None when it is unknown or the file changed during
@@ -213,7 +212,8 @@ def _cached_parse(path, arguments, width, read):
     An entry is one .npy file named by the sha256 of the file's sha256,
     `arguments` and this module's sha256, so a changed parser never reads
     another's entries. An entry is used only when it is a C-ordered, 2-D,
-    native float64 array `width` columns wide, and is written only after
+    native float64 array `width` columns wide whose column `label_pos`
+    holds only 0.0 and 1.0, as a parse gives; it is written only after
     `read()` returned, only when the file still has the bytes the key was
     made from, and only when it holds at most CACHE_ENTRY_BYTES. The cache
     can only miss: any OSError, ValueError or EOFError from it reads the file.
@@ -227,7 +227,7 @@ def _cached_parse(path, arguments, width, read):
         with open(entry, "rb") as fh:
             cells = np.lib.format.read_array(fh, allow_pickle=False)
         if (cells.ndim == 2 and cells.dtype == np.float64 and cells.shape[1] == width
-                and cells.flags.c_contiguous):
+                and cells.flags.c_contiguous and np.isin(cells[:, label_pos], (0, 1)).all()):
             with contextlib.suppress(OSError):
                 os.utime(entry)  # the mtime orders the evictions
             return cells, digest

@@ -606,5 +606,5 @@ def load_model(path):
         return _model_from_json(obj)
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from exc

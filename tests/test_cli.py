@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 
 import gapnet
 from gapnet import dataset as ds_mod
+from gapnet.benchmark import BenchmarkConfig
 from gapnet.cli import main
 from gapnet.clustering import signature_clusters
 from gapnet.dataset import load_csv, save_csv
-from gapnet.models import build_subnet, tile_rows
+from gapnet.models import TrainConfig, build_subnet, tile_rows
+from gapnet.synth import MadelonConfig
 from conftest import assert_no_child_left, make_dataset
 
 
@@ -295,6 +298,71 @@ def test_train_report_bytes_do_not_depend_on_paths(tiny_csv, tmp_path, capsys):
     assert {"dataset", "plan", "out"}.isdisjoint(report["config"])
     assert {name: m["path"] for name, m in report["models"].items()} == {
         "vanilla": "vanilla.model.json", "gapnet": "gapnet.model.json"}
+
+
+# field -> (the flags that set it, the value they give, not the default)
+CONFIG_FLAGS = {
+    "epochs": (["--epochs", 3], 3),
+    "learning_rate": (["--learning-rate", 0.01], 0.01),
+    "batch_size": (["--batch-size", 8], 8),
+    "dropout_rate": (["--dropout", 0.25], 0.25),
+    "hidden_multiplier": (["--hidden-multiplier", 3], 3),
+    "seed": (["--seed", 9], 9),
+    "freeze_bodies": (["--unfreeze-bodies"], False),
+    "test_fraction": (["--test-fraction", 0.3], 0.3),
+    "normalize": (["--no-normalize"], False),
+    "stratified": (["--no-stratify"], False),
+    "runs": (["--runs", 5], 5),
+    "jobs": (["--jobs", 2], 2),
+}
+
+
+def built_configs(monkeypatch, name, cls):
+    """Replace cli's `name` with a function that records each cls among its
+    arguments, then fails the run; the list it records them in."""
+    built = []
+
+    def stop(*args):
+        built.extend(a for a in args if isinstance(a, cls))
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(gapnet.cli, name, stop)
+    return built
+
+
+@pytest.mark.parametrize("command, cls, stop", [
+    ("train", TrainConfig, "train_run"),
+    ("benchmark", BenchmarkConfig, "run_benchmark"),
+    ("synth", MadelonConfig, "generate_madelon"),
+])
+def test_a_command_without_flags_builds_the_default_config(tiny_csv, tmp_path, capsys,
+                                                           monkeypatch, command, cls, stop):
+    built = built_configs(monkeypatch, stop, cls)
+    argv = [] if command == "synth" else [tiny_csv]
+    code, _, _ = run(capsys, command, *argv, "--out", tmp_path / "out")
+    assert code == 3 and built == [cls()]
+
+
+def test_every_config_field_is_set_by_its_flag(tiny_csv, tmp_path, capsys, monkeypatch):
+    assert list(CONFIG_FLAGS) == [f.name for f in fields(BenchmarkConfig)]
+    expected = BenchmarkConfig(**{name: value for name, (_, value) in CONFIG_FLAGS.items()})
+    assert all(getattr(expected, f.name) != f.default for f in fields(BenchmarkConfig))
+    built = built_configs(monkeypatch, "run_benchmark", BenchmarkConfig)
+    flags = [flag for argv, _ in CONFIG_FLAGS.values() for flag in argv]
+    code, _, _ = run(capsys, "benchmark", tiny_csv, *flags, "--out", tmp_path / "out")
+    assert code == 3 and built == [expected]
+
+
+def test_the_train_report_records_the_config_fields(tiny_csv, tmp_path, capsys):
+    train = {f.name: CONFIG_FLAGS[f.name] for f in fields(TrainConfig)}
+    flags = [flag for argv, _ in train.values() for flag in argv]
+    code, _, _ = run(capsys, "train", tiny_csv, *flags, "--out", tmp_path / "out")
+    assert code == 0
+    config = json.loads((tmp_path / "out" / "train_report.json").read_text())["config"]
+    own = {"command", "model", "missing_token", "label_column", "dataset_sha256", "plan_sha256"}
+    assert set(config) == set(train) | own
+    assert {name: config[name] for name in train} == {
+        name: value for name, (_, value) in train.items()}
 
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])
@@ -617,7 +685,7 @@ def test_tracer_wraps_every_function_it_names(tiny_csv, tmp_path):
     assert sorted(parents) == ["models.train_stage1"] * 4 + ["models.train_vanilla"] * 2
 
 
-def test_tracer_counts_the_rows_of_overlapped_fits(tmp_path):
+def test_tracer_counts_the_rows_of_tiled_fits(tmp_path):
     """Two clusters of 30 features and 630 training rows each, more than
     their 544-row tiles: each stage-I fit runs several tiles a step."""
     rng = np.random.default_rng(3)

@@ -35,13 +35,14 @@ def one_bad_cell(cell):
     )
 
 
-def gapnet_model(fusion_units=1, activation="sigmoid", weight=1.0):
-    """A one-feature gapnet model file with the given fusion node."""
+def gapnet_model(fusion_units=1, activation="sigmoid", weight=1.0, feature=0):
+    """A one-feature gapnet model file with the given fusion node, its one
+    cluster on the given feature index."""
     body = {"weights": [[1.0]], "biases": [0.0], "activation": "relu", "trainable": False}
     return {
         "kind": "gapnet",
         "bodies": [{"layers": [body], "dropout": []}],
-        "clusters": [{"name": "a", "features": [0]}],
+        "clusters": [{"name": "a", "features": [feature]}],
         "fusion": {"weights": [[weight] * fusion_units], "biases": [0.0] * fusion_units,
                    "activation": activation, "trainable": True},
         "freeze_bodies": True,
@@ -80,6 +81,12 @@ CASES = {
         ["importance", "{dir}/relu.model.json", "{dir}/few.csv"], 2, "one sigmoid unit"),
     "nan fusion weight": (
         ["importance", "{dir}/nan.model.json", "{dir}/few.csv"], 2, "non-finite weight or bias"),
+    "fusion weight beyond float64": (
+        ["importance", "{dir}/huge.model.json", "{dir}/few.csv"],
+        2, "huge.model.json: int too large to convert to float"),
+    "feature index beyond int64": (
+        ["importance", "{dir}/far.model.json", "{dir}/few.csv", "--missing-token", ""],
+        2, "feature index out of range"),
     "two-unit baseline output": (
         ["importance", "{dir}/wide-baseline.model.json", "{dir}/few.csv", "--missing-token", ""],
         2, "one sigmoid unit"),
@@ -190,6 +197,8 @@ def inputs(tmp_path_factory):
     for name, model in (("ok", gapnet_model()), ("wide", gapnet_model(fusion_units=2)),
                         ("relu", gapnet_model(activation="relu")),
                         ("nan", gapnet_model(weight=float("nan"))),
+                        ("huge", gapnet_model(weight=10**400)),
+                        ("far", gapnet_model(feature=10**30)),
                         ("narrow", baseline_model(1)),
                         ("wide-baseline", baseline_model(2, units=2)),
                         ("narrow-stats", baseline_model(2, normalization_width=1)),

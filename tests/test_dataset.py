@@ -235,7 +235,7 @@ def test_complete_rows_for_empty_cluster(paper_madelon):
     assert paper_madelon.complete_rows_for([]).size == 1000
 
 
-@pytest.mark.parametrize("features", [[2], [-1]])
+@pytest.mark.parametrize("features", [[2], [-1], [10**30]])
 def test_complete_rows_for_a_feature_out_of_range(features):
     with pytest.raises(DatasetError, match="feature index out of range"):
         make_dataset(np.ones((3, 2))).complete_rows_for(features)
@@ -682,6 +682,10 @@ def rewrite_entry(entry, how):
         np.save(entry, cells.reshape(-1))
     elif how == "Fortran order":
         np.save(entry, np.asfortranarray(cells))
+    elif how == "a label no parse gives":  # would load as label 0
+        assert cells[1, 2] == 1.0
+        cells[1, 2] = 0.5
+        np.save(entry, cells)
     elif how == "pickled objects":
         np.save(entry, cells.astype(object), allow_pickle=True)
     else:
@@ -691,16 +695,19 @@ def rewrite_entry(entry, how):
 
 @pytest.mark.parametrize("how", [
     "truncated", "empty", "not an array", "one column short", "big-endian", "float32",
-    "one-dimensional", "Fortran order", "pickled objects", "npz archive",
+    "one-dimensional", "Fortran order", "a label no parse gives", "pickled objects",
+    "npz archive",
 ])
-def test_a_bad_entry_is_a_miss(tmp_path, capsys, parsed_cell_cache, how):
+def test_a_bad_entry_is_a_miss(tmp_path, monkeypatch, capsys, parsed_cell_cache, how):
     path = write(tmp_path, many_rows())
     expected = reference_load_csv(path.read_text(), "NA")
     load_csv(path)
     [entry] = entries(parsed_cell_cache)
     rewrite_entry(entry, how)
+    parses = count_parses(monkeypatch)
     for _ in range(2):  # the miss, then a hit on the entry it stored again
         assert_same_dataset(load_csv(path), *expected)
+    assert len(parses) == 1
     assert entries(parsed_cell_cache) == [entry]
     assert capsys.readouterr() == ("", "")
 

@@ -480,7 +480,7 @@ def test_tiled_stage1_fits_overlap_with_the_same_bits(monkeypatch):
             assert np.array_equal(a.biases, b.biases)
 
 
-def test_overlapped_stage1_raises_the_first_failure_in_plan_order(monkeypatch):
+def test_stage1_raises_the_first_failure_in_plan_order(monkeypatch):
     ds, plan, s = tiled_stage1_data(monkeypatch)
     seen = spy_fits(monkeypatch)
     held_out = DataSplit(train_rows=np.arange(16, 60), test_rows=np.arange(16))
@@ -752,6 +752,13 @@ MODEL_CORRUPTIONS = {
                           "dropout rate"),
     "non-numeric normalization": ("mlp", _set(["normalization"], {"mean": ["a"], "std": [1]}),
                                   "could not convert"),
+    # an integer beyond float64's range overflows in the conversion
+    "huge weight": ("mlp", _set(["network", "layers", 0, "weights", 0, 0], 10**400),
+                    "int too large to convert to float"),
+    "huge bias": ("gapnet", _set(["fusion", "biases", 0], -10**400),
+                  "int too large to convert to float"),
+    "huge normalization mean": ("mlp", _set(["normalization"], _stats([10**400], [1.0])),
+                                "int too large to convert to float"),
     "nan fusion weight": ("gapnet", _set(["fusion", "weights", 0, 0], float("nan")),
                           "non-finite weight or bias"),
     "infinite bias": ("mlp", _set(["network", "layers", 1, "biases", 0], -float("inf")),
