@@ -18,7 +18,7 @@ from .evaluation import (
     metrics,
     roc_curve,
 )
-from .models import TrainConfig, predict, predict_subnet, train_gapnet, train_vanilla
+from .models import TrainConfig, predict, predict_subnet, stream, train_gapnet, train_vanilla
 from .numerics import forked_map
 
 
@@ -52,9 +52,8 @@ def train_run(ds, plan, cfg, run_index, models=MODELS):
     stats (None when off), cfg with the run's seed, the trained models by
     name, and the test-row scores of each model and sub-network by name.
     `gapnet train --seed s` is run 0."""
-    seed = run_seed(cfg, run_index)
-    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
-    split = ds_mod.split(ds, cfg.test_fraction, split_rng, stratified=cfg.stratified)
+    cfg = replace(cfg, seed=run_seed(cfg, run_index))
+    split = ds_mod.split(ds, cfg.test_fraction, stream(cfg.seed, "split"), cfg.stratified)
     test = split.test_rows
     # not np.unique, whose first call raises the process's peak RSS by ~0.4 MB
     if ds.labels[test].min() == ds.labels[test].max():
@@ -62,7 +61,6 @@ def train_run(ds, plan, cfg, run_index, models=MODELS):
                                   "a run needs both classes among its test rows")
     stats = ds_mod.compute_stats(ds, split.train_rows) if cfg.normalize else None
     work = ds_mod.normalize(ds, stats) if cfg.normalize else ds
-    cfg = replace(cfg, seed=seed)
     trained, scores = {}, {}
     if "vanilla" in models:
         trained["vanilla"] = train_vanilla(work, split, cfg)

@@ -292,8 +292,9 @@ def cmd_benchmark(args):
 
 
 def cmd_importance(args):
-    if args.top_k < 0:
-        raise ValueError("--top-k must be >= 0")
+    for flag, value in (("--top-k", args.top_k), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0")
     model, feature_names, stats = load_model(args.model)
     ds = _load_dataset(args)
     if feature_names is not None and feature_names != ds.feature_names:
@@ -312,14 +313,13 @@ def cmd_importance(args):
     labels = work.labels[rows]
     if args.out:  # its directory made before any column is scored
         _out_dir(Path(args.out).parent)
-    rng = np.random.default_rng(args.seed)
     report = importance_report(
         model.predict,
         Xc,
         labels,
         [ds.feature_names[j] for j in feats],
         repeats=args.repeats,
-        rng=rng,
+        rng=np.random.default_rng(args.seed),
     )
     order = np.argsort(report.ranks)
     out = {

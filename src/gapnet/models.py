@@ -366,25 +366,39 @@ def fit_gapnet(model, X, y, cfg, rng):
 
 
 def _train_rows_for(ds, split, feature_indices):
-    rows = ds.complete_rows_for(feature_indices)
-    excluded = np.isin(rows, split.test_rows)
-    return rows[~excluded]
+    return np.setdiff1d(ds.complete_rows_for(feature_indices), split.test_rows, assume_unique=True)
 
 
-def _stream(cfg, key):
-    """Model stream `key` of cfg.seed, as `SeedSequence(cfg.seed).spawn(...)[key]`: cluster k
-    uses k, the baseline 0 (as cluster 0 does), stage II 999, the fusion node 1000."""
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
+def stream(seed, role, index=0):
+    """The generator that a run with `seed` (its `run_seed`) draws `role`
+    from: "split" for its split, "baseline" for the baseline network,
+    "cluster" for the sub-network of cluster `index` (0-based), "fusion" for
+    the fused output node and "stage2" for stage II's dropout masks.
+
+    The split draws from `SeedSequence([seed, 17])`, every other role from
+    `SeedSequence(seed, spawn_key=(key,))`, as `SeedSequence(seed).spawn`
+    would: cluster k uses key k, the baseline 0, stage II 999 and the
+    fusion node 1000. These streams collide in three known ways (ROADMAP
+    item 3):
+
+    - the baseline and cluster 0 share key 0, so they draw the same words;
+    - clusters 999 and 1000 share the keys of stage II and the fusion node;
+    - `run_seed` is `seed ^ run`, so seeds 0-3 give runs 0-3 one set of
+      run seeds, each in another order.
+    """
+    if role == "split":
+        return np.random.default_rng(np.random.SeedSequence([seed, 17]))
+    key = {"baseline": 0, "cluster": index, "stage2": 999, "fusion": 1000}[role]
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _fit_setup(ds, split, cfg, features, key, empty_message):
+def _fit_setup(ds, split, cfg, features, rng, empty_message):
     """The `fit_network` arguments that train a baseline-shaped network over
-    `features`, drawn from model stream `key`, on the rows complete for them
+    `features`, drawn from generator `rng`, on the rows complete for them
     minus test rows."""
     rows = _train_rows_for(ds, split, features)
     if rows.size == 0:
         raise TrainingError(empty_message)
-    rng = _stream(cfg, key)
     net = build_vanilla(len(features), cfg.hidden_multiplier, cfg.dropout_rate, rng=rng)
     return net, ds.dense_block(rows, features), ds.labels[rows], cfg, rng
 
@@ -399,7 +413,7 @@ def train_stage1(ds, plan, split, cfg):
     """
     fits = [
         _fit_setup(
-            ds, split, cfg, cluster.features, k,
+            ds, split, cfg, cluster.features, stream(cfg.seed, "cluster", k),
             f"cluster {cluster.name!r} has no training rows after test exclusion",
         )
         for k, cluster in enumerate(plan.clusters)
@@ -411,7 +425,7 @@ def train_stage2(model, ds, split, cfg):
     """Train the fused model on the fully complete rows minus test rows."""
     rows = _train_rows_for(ds, split, model.feature_indices)
     X = ds.dense_block(rows, model.feature_indices)
-    return fit_gapnet(model, X, ds.labels[rows], cfg, _stream(cfg, 999))
+    return fit_gapnet(model, X, ds.labels[rows], cfg, stream(cfg.seed, "stage2"))
 
 
 def train_gapnet(ds, plan, split, cfg):
@@ -419,7 +433,7 @@ def train_gapnet(ds, plan, split, cfg):
     clusters share a feature raises NumericsError before any fit trains."""
     _check_disjoint(plan.clusters)
     subnets = train_stage1(ds, plan, split, cfg)
-    model = fuse(subnets, plan.clusters, _stream(cfg, 1000), freeze_bodies=cfg.freeze_bodies)
+    model = fuse(subnets, plan.clusters, stream(cfg.seed, "fusion"), cfg.freeze_bodies)
     train_stage2(model, ds, split, cfg)
     return model, subnets
 
@@ -427,8 +441,8 @@ def train_gapnet(ds, plan, split, cfg):
 def train_vanilla(ds, split, cfg):
     """Baseline: train on the fully complete rows minus test rows."""
     return fit_network(*_fit_setup(
-        ds, split, cfg, range(ds.n_features), 0, "no complete training rows for the baseline"
-    ))
+        ds, split, cfg, range(ds.n_features), stream(cfg.seed, "baseline"),
+        "no complete training rows for the baseline"))
 
 
 def input_features(model):

@@ -55,6 +55,8 @@ class MadelonConfig:
             raise SynthError("class_separation must be positive and finite")
         if self.clusters_per_class < 1:
             raise SynthError("clusters_per_class must be >= 1")
+        if self.seed < 0:
+            raise SynthError("seed must be >= 0")  # as default_rng requires
 
 
 @dataclass

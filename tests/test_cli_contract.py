@@ -145,6 +145,11 @@ CASES = {
     "importance of no repeats": (
         ["importance", "{dir}/ok.model.json", "{dir}/few.csv", "--missing-token", "",
          "--repeats", "0"], 2, "repeats must be >= 1"),
+    "synth of a negative seed": (
+        ["synth", "--seed", "-1", "--out", "{dir}/s.csv"], 2, "seed must be >= 0"),
+    "importance of a negative seed": (
+        ["importance", "{dir}/ok.model.json", "{dir}/few.csv", "--missing-token", "",
+         "--seed", "-3"], 2, "--seed must be >= 0"),
     "synth of no clusters per class": (
         ["synth", "--clusters-per-class", "0", "--out", "{dir}/s.csv"],
         2, "clusters_per_class must be >= 1"),

@@ -1,3 +1,4 @@
+import copy
 import json
 import threading
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapnet import models
+from gapnet.benchmark import run_seed
 from gapnet.clustering import ClusterPlan, FeatureCluster, signature_clusters
 from gapnet.dataset import DataSplit, split
 from gapnet.models import (
@@ -25,6 +27,7 @@ from gapnet.models import (
     predict,
     predict_subnet,
     save_model,
+    stream,
     tile_rows,
     train_gapnet,
     train_stage1,
@@ -474,7 +477,8 @@ def test_tiled_stage1_fits_overlap_with_the_same_bits(monkeypatch):
     nets = train_stage1(ds, plan, s, cfg)
     assert seen == [(2, True), (3, True), (1, True)]
     for k, (cluster, net) in enumerate(zip(plan.clusters, nets)):
-        alone = fit_network(*models._fit_setup(ds, s, cfg, cluster.features, k, ""))
+        alone = fit_network(*models._fit_setup(
+            ds, s, cfg, cluster.features, models.stream(cfg.seed, "cluster", k), ""))
         for a, b in zip(alone.layers, net.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
@@ -859,3 +863,96 @@ def test_model_file_round_trip(tmp_path_factory, sizes, seed, special, freeze, v
         X = rng.standard_normal((7, m.input_width))
         with np.errstate(over="ignore", invalid="ignore"):  # huge special weights
             assert np.array_equal(loaded.predict(X), m.predict(X), equal_nan=True)
+
+
+# a value an edit may write into a model file
+EDIT_VALUES = (None, True, 0, -1, 10**400, 1e308, "x", [], {}, [[]])
+
+
+def _edit(data, obj):
+    """One random edit of the JSON value obj: at a random path, set one of
+    EDIT_VALUES, delete the key or element, or append to the list there.
+    Returns the edited value (a new one when the root is set)."""
+    parent = key = None
+    node = obj
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 4)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    kind = data.draw(st.sampled_from(("set", "delete", "append")))
+    value = copy.deepcopy(data.draw(st.sampled_from(EDIT_VALUES)))
+    if kind == "append" and isinstance(node, list):
+        node.append(value)
+    elif parent is None:
+        return value
+    elif kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """tiny_models' files as `train` writes them, with feature names and a
+    normalization."""
+    names = [f"f{j}" for j in range(4)]
+    stats = {"mean": [0.5, -1.0, 0.0, 2.0], "std": [1.0, 2.0, 0.5, 1.0]}
+    return {kind: {**obj, "feature_names": names, "normalization": stats}
+            for kind, obj in tiny_models(tmp_path_factory.mktemp("saved")).items()}
+
+
+@given(data=st.data(), kind=st.sampled_from(("gapnet", "mlp")), edits=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_an_edited_model_file_loads_or_raises_model_file_error(
+    tmp_path_factory, saved_models, data, kind, edits
+):
+    obj = copy.deepcopy(saved_models[kind])
+    for _ in range(edits):
+        obj = _edit(data, obj)
+    path = tmp_path_factory.getbasetemp() / "edited.model.json"
+    path.write_text(json.dumps(obj))
+    try:
+        load_model(path)
+    except ModelFileError:
+        pass
+
+
+def first_words(rng):
+    return rng.bit_generator.random_raw(4).tolist()
+
+
+def test_each_role_draws_from_its_documented_seed_sequence():
+    for seed in (0, 7):
+        documented = {
+            ("split", 0): np.random.SeedSequence([seed, 17]),
+            ("baseline", 0): np.random.SeedSequence(seed, spawn_key=(0,)),
+            ("cluster", 0): np.random.SeedSequence(seed, spawn_key=(0,)),
+            ("cluster", 3): np.random.SeedSequence(seed).spawn(4)[3],
+            ("stage2", 0): np.random.SeedSequence(seed, spawn_key=(999,)),
+            ("fusion", 0): np.random.SeedSequence(seed, spawn_key=(1000,)),
+        }
+        for (role, index), sequence in documented.items():
+            expected = first_words(np.random.default_rng(sequence))
+            assert first_words(stream(seed, role, index)) == expected, (seed, role, index)
+
+
+STREAM_COLLISION = "ROADMAP item 3: the role streams share spawn keys"
+
+
+@pytest.mark.xfail(strict=True, reason=STREAM_COLLISION)
+@pytest.mark.parametrize("a, b", [
+    (("baseline", 0), ("cluster", 0)),
+    (("stage2", 0), ("cluster", 999)),
+    (("fusion", 0), ("cluster", 1000)),
+])
+def test_two_roles_draw_different_words(a, b):
+    assert first_words(stream(5, *a)) != first_words(stream(5, *b))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: run_seed is seed ^ run")
+def test_two_seeds_give_different_run_seeds():
+    def run_seeds(seed):
+        return {run_seed(TrainConfig(seed=seed), i) for i in range(4)}
+
+    assert run_seeds(0) != run_seeds(1)
